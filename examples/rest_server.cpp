@@ -203,9 +203,16 @@ int main(int argc, char** argv) {
     compactor.join();
   }
   if (!kb_path.empty()) {
-    (void)framework.SaveKnowledgeBase(kb_path);
-    std::printf("knowledge base saved to %s (%zu records)\n", kb_path.c_str(),
-                framework.kb().NumRecords());
+    const std::string save_path = KbSnapshotSavePath(kb_path);
+    if (save_path != kb_path) {
+      std::fprintf(stderr,
+                   "warning: %s is a text knowledge base; writing the "
+                   "binary snapshot to %s instead of overwriting it\n",
+                   kb_path.c_str(), save_path.c_str());
+    }
+    (void)framework.SaveKnowledgeBase(save_path);
+    std::printf("knowledge base saved to %s (%zu records)\n",
+                save_path.c_str(), framework.kb().NumRecords());
   }
   return status.ok() ? 0 : 1;
 }

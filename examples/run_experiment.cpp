@@ -268,10 +268,17 @@ int main(int argc, char** argv) {
   }
 
   if (!kb_path.empty()) {
-    const Status status = framework.SaveKnowledgeBase(kb_path);
+    const std::string save_path = KbSnapshotSavePath(kb_path);
+    if (save_path != kb_path) {
+      std::fprintf(stderr,
+                   "warning: %s is a text knowledge base; writing the "
+                   "binary snapshot to %s instead of overwriting it\n",
+                   kb_path.c_str(), save_path.c_str());
+    }
+    const Status status = framework.SaveKnowledgeBase(save_path);
     std::printf("knowledge base %s: %s (%zu records)\n",
                 status.ok() ? "saved to" : "NOT saved",
-                kb_path.c_str(), framework.kb().NumRecords());
+                save_path.c_str(), framework.kb().NumRecords());
   }
   return 0;
 }

@@ -5,7 +5,7 @@
 #   SMARTML_SANITIZE=thread scripts/tier1.sh
 #       ThreadSanitizer build; additionally re-runs the concurrency tests
 #       (rest_concurrency_test, kb_concurrency_test, events_test,
-#       multitenant_test) under TSan so data races in the serving core and
+#       multitenant_test, interpret_test, ensemble_test, ...) under TSan so data races in the serving core and
 #       the fair-share scheduler fail loudly.
 #   SMARTML_SANITIZE=thread,undefined scripts/tier1.sh
 #       TSan + UBSan combined (the value is passed to -fsanitize= verbatim).
@@ -43,9 +43,14 @@ case "$SANITIZE" in
     # Surface the concurrency suites explicitly under the sanitizer.
     # kb_index_test includes the lookups-race-appends k-d tree oracle case;
     # tree_histogram_test races the lazy Dataset::Binned() cache against
-    # parallel forest workers sharing one binned view.
+    # parallel forest workers sharing one binned view. interpret_test runs
+    # permutation importance for every learner on a 4-thread pool
+    # (concurrent const Predict calls on one shared model); ensemble_test
+    # predicts through ensembles that share a member from four threads.
     "$BUILD_DIR"/tests/kb_concurrency_test
     "$BUILD_DIR"/tests/tree_histogram_test
+    "$BUILD_DIR"/tests/interpret_test
+    "$BUILD_DIR"/tests/ensemble_test
     "$BUILD_DIR"/tests/kb_index_test
     "$BUILD_DIR"/tests/rest_concurrency_test
     "$BUILD_DIR"/tests/events_test

@@ -21,8 +21,10 @@
 //                    restore the last-good file to the main path.
 //   kb_lookup_throw  KB nomination throws — exercises the degraded
 //                    no-meta-learning path.
-//   tuner_throw      SmartML::TuneAlgorithm throws before tuning —
-//                    exercises per-candidate failure isolation.
+//   tuner_throw      TuneAlgorithm (src/core/smartml.cc) throws before
+//                    tuning — exercises per-candidate failure isolation.
+//   refit_fail       TuneAlgorithm's refit of the tuned config fails — the
+//                    candidate must fail, not be ranked at accuracy 0.
 //   slow_train       ClassifierObjective::EvaluateFold sleeps per fold —
 //                    makes runs reliably slow for cancellation latency and
 //                    per-candidate timeout tests.

@@ -2,7 +2,7 @@
 
 namespace smartml {
 
-void WeightedEnsemble::AddMember(std::unique_ptr<Classifier> model,
+void WeightedEnsemble::AddMember(std::shared_ptr<const Classifier> model,
                                  double accuracy) {
   members_.push_back(std::move(model));
   // Clamp so a 0-accuracy member cannot zero out, which would break
@@ -21,13 +21,25 @@ StatusOr<std::vector<std::vector<double>>> WeightedEnsemble::PredictProba(
   if (members_.empty()) {
     return Status::FailedPrecondition("ensemble: no members");
   }
+  std::vector<Proba> member_proba;
+  member_proba.reserve(members_.size());
+  for (const auto& member : members_) {
+    SMARTML_ASSIGN_OR_RETURN(Proba proba, member->PredictProba(data));
+    member_proba.push_back(std::move(proba));
+  }
+  std::vector<const Proba*> views;
+  for (const Proba& proba : member_proba) views.push_back(&proba);
+  return Blend(views);
+}
+
+WeightedEnsemble::Proba WeightedEnsemble::Blend(
+    const std::vector<const Proba*>& member_proba) const {
   double total_weight = 0.0;
   for (double w : weights_) total_weight += w;
 
-  std::vector<std::vector<double>> out;
-  for (size_t m = 0; m < members_.size(); ++m) {
-    SMARTML_ASSIGN_OR_RETURN(std::vector<std::vector<double>> proba,
-                             members_[m]->PredictProba(data));
+  Proba out;
+  for (size_t m = 0; m < member_proba.size() && m < weights_.size(); ++m) {
+    const Proba& proba = *member_proba[m];
     const double w = weights_[m] / total_weight;
     if (out.empty()) {
       out.assign(proba.size(), {});

@@ -12,12 +12,15 @@
 namespace smartml {
 
 /// A probability-averaging ensemble whose member weights are proportional to
-/// validation accuracy. Members are already-trained classifiers.
+/// validation accuracy. Members are already-trained classifiers, shared
+/// read-only: a run's winner is both its best_model and an ensemble member.
 class WeightedEnsemble : public Classifier {
  public:
+  using Proba = std::vector<std::vector<double>>;
+
   /// Adds a trained member with its validation accuracy. Weights are
   /// normalized lazily at prediction time.
-  void AddMember(std::unique_ptr<Classifier> model, double accuracy);
+  void AddMember(std::shared_ptr<const Classifier> model, double accuracy);
 
   size_t NumMembers() const { return members_.size(); }
   const std::vector<double>& weights() const { return weights_; }
@@ -30,6 +33,12 @@ class WeightedEnsemble : public Classifier {
   StatusOr<std::vector<std::vector<double>>> PredictProba(
       const Dataset& data) const override;
 
+  /// The blend PredictProba applies to its members' outputs: the weighted
+  /// average of `member_proba` (one matrix per member, in AddMember order),
+  /// renormalized per row. A caller that already holds the members'
+  /// predictions gets the ensemble's without predicting again.
+  Proba Blend(const std::vector<const Proba*>& member_proba) const;
+
   /// Cloning an ensemble of trained members is not supported; returns an
   /// empty ensemble (interface requirement only).
   std::unique_ptr<Classifier> Clone() const override {
@@ -37,7 +46,7 @@ class WeightedEnsemble : public Classifier {
   }
 
  private:
-  std::vector<std::unique_ptr<Classifier>> members_;
+  std::vector<std::shared_ptr<const Classifier>> members_;
   std::vector<double> weights_;
 };
 

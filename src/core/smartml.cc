@@ -87,11 +87,36 @@ std::vector<Nomination> SmartML::SelectAlgorithms(
   return kb_.Nominate(mf, nomination);
 }
 
-StatusOr<AlgorithmRunResult> SmartML::TuneAlgorithm(
+namespace {
+
+/// What the output phase reads of a tuned candidate besides its
+/// AlgorithmRunResult: the model tuning refit on the training partition and
+/// that model's validation-partition probabilities. Run-local, so the
+/// public result never holds every candidate's model.
+struct FittedCandidate {
+  std::shared_ptr<const Classifier> model;
+  std::vector<std::vector<double>> validation_proba;
+};
+
+/// Accuracy of `proba` labelled row by row with the ArgMax that
+/// Classifier::Predict applies, so it equals scoring Predict's output.
+double ProbaAccuracy(const std::vector<int>& labels,
+                     const std::vector<std::vector<double>>& proba) {
+  std::vector<int> predicted(proba.size());
+  for (size_t r = 0; r < proba.size(); ++r) predicted[r] = ArgMax(proba[r]);
+  return Accuracy(labels, predicted);
+}
+
+/// Tunes one candidate with SMAC, then refits its best configuration on
+/// `train` and scores it on `validation`. A failed refit (or validation
+/// predict) fails the candidate: it must not be ranked on a made-up
+/// accuracy.
+StatusOr<AlgorithmRunResult> TuneAlgorithm(
     const SmartMlOptions& options, const std::string& algorithm,
     const Dataset& train, const Dataset& validation, double budget_seconds,
     int max_evaluations, const std::vector<ParamConfig>& warm_starts,
-    uint64_t seed, const RunBudget& budget, Tracer* tracer) const {
+    uint64_t seed, bool inject_refit_fail, const RunBudget& budget,
+    Tracer* tracer, FittedCandidate* fitted) {
   Stopwatch watch;
   AlgorithmRunResult run;
   run.algorithm = algorithm;
@@ -135,20 +160,32 @@ StatusOr<AlgorithmRunResult> SmartML::TuneAlgorithm(
   run.resumed = tuned.resumed;
 
   // Refit the best configuration on the full training partition and score
-  // it on the held-out validation partition.
+  // it on the held-out validation partition. The output phase keeps this
+  // model and these probabilities: nothing is trained twice.
   Span refit_span(tracer, "tune/refit");
   std::unique_ptr<Classifier> model = prototype->Clone();
-  const Status fit_status = model->Fit(train, run.best_config);
-  if (fit_status.ok()) {
-    auto predictions = model->Predict(validation);
-    if (predictions.ok()) {
-      run.validation_accuracy = Accuracy(validation.labels(), *predictions);
-    }
+  const Status fit_status =
+      inject_refit_fail
+          ? Status::Internal("fault injection: refit_fail on " + algorithm)
+          : model->Fit(train, run.best_config);
+  if (!fit_status.ok()) {
+    return Status(fit_status.code(),
+                  "refit of the tuned config failed: " + fit_status.message());
   }
+  auto proba = model->PredictProba(validation);
+  if (!proba.ok()) {
+    return Status(proba.status().code(), "validation predict failed: " +
+                                             proba.status().message());
+  }
+  run.validation_accuracy = ProbaAccuracy(validation.labels(), *proba);
   refit_span.End();
+  fitted->model = std::move(model);
+  fitted->validation_proba = std::move(*proba);
   run.seconds = watch.ElapsedSeconds();
   return run;
 }
+
+}  // namespace
 
 StatusOr<SmartMlResult> SmartML::Run(const Dataset& dataset) {
   return Run(dataset, options_);
@@ -387,8 +424,10 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   // so deciding inside the parallel tasks would make *which* candidate
   // fails a race.
   std::vector<char> inject_tuner_throw(algorithms.size(), 0);
+  std::vector<char> inject_refit_fail(algorithms.size(), 0);
   for (size_t i = 0; i < algorithms.size(); ++i) {
     inject_tuner_throw[i] = FaultShouldFire("tuner_throw") ? 1 : 0;
+    inject_refit_fail[i] = FaultShouldFire("refit_fail") ? 1 : 0;
   }
 
   // Candidates are independent (each gets its proportional budget share),
@@ -401,6 +440,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
     bool attempted = false;  ///< False = deadline expired before start.
     bool ok = false;
     AlgorithmRunResult run;
+    FittedCandidate fitted;
     Status error;
     std::vector<TraceSpan> spans;
     double span_offset = 0.0;  ///< Task start relative to the tune span.
@@ -450,7 +490,8 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
               }
               return TuneAlgorithm(options, algorithms[i], train, validation,
                                    time_share, eval_budget, warm_starts[i],
-                                   seed + i * 7919, budget, &local);
+                                   seed + i * 7919, inject_refit_fail[i] != 0,
+                                   budget, &local, &out.fitted);
             } catch (const std::exception& e) {
               return Status::Internal(std::string("candidate threw: ") +
                                       e.what());
@@ -475,6 +516,9 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
       budget.token.get());
   if (!tune_status.ok()) return tune_status;
 
+  // fitted[i] is the model and validation probabilities behind
+  // result.per_algorithm[i].
+  std::vector<FittedCandidate> fitted;
   size_t attempted = 0;
   for (size_t i = 0; i < algorithms.size(); ++i) {
     CandidateOutcome& out = outcomes[i];
@@ -484,6 +528,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
     if (out.ok) {
       if (out.run.resumed) result.resumed_from_checkpoint = true;
       result.per_algorithm.push_back(std::move(out.run));
+      fitted.push_back(std::move(out.fitted));
       continue;
     }
     SMARTML_LOG_WARN << "candidate " << algorithms[i]
@@ -531,14 +576,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   result.best_algorithm = winner.algorithm;
   result.best_config = winner.best_config;
   result.best_validation_accuracy = winner.validation_accuracy;
-
-  // Train the winner for the caller.
-  {
-    SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> model,
-                             CreateClassifier(winner.algorithm));
-    SMARTML_RETURN_NOT_OK(model->Fit(train, winner.best_config));
-    result.best_model = std::move(model);
-  }
+  result.best_model = fitted[order[0]].model;
 
   // Optional weighted ensemble of the top performers. Skipped once the
   // budget is exhausted (the winner is the best-so-far contract; the
@@ -546,20 +584,18 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
   if (options.enable_ensembling && result.per_algorithm.size() >= 2 &&
       !budget.Stop()) {
     Span span(tracer, "ensemble");
-    // Candidate pool: the top `ensemble_size` tuned models, refitted.
-    std::vector<std::unique_ptr<Classifier>> pool;
-    std::vector<double> pool_accuracy;
-    for (size_t i = 0; i < order.size() && i < options.ensemble_size; ++i) {
-      const AlgorithmRunResult& run = result.per_algorithm[order[i]];
-      SMARTML_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> member,
-                               CreateClassifier(run.algorithm));
-      if (member->Fit(train, run.best_config).ok()) {
-        pool.push_back(std::move(member));
-        pool_accuracy.push_back(run.validation_accuracy);
-      }
+    // Candidate pool: the top `ensemble_size` tuned models, as tuning left
+    // them, with their stored validation probabilities.
+    const size_t pool_size = std::min(order.size(), options.ensemble_size);
+    std::vector<double> pool_accuracy(pool_size);
+    for (size_t i = 0; i < pool_size; ++i) {
+      pool_accuracy[i] = result.per_algorithm[order[i]].validation_accuracy;
     }
+    auto member_proba = [&](size_t i) -> const WeightedEnsemble::Proba& {
+      return fitted[order[i]].validation_proba;
+    };
 
-    std::vector<double> weights(pool.size(), 0.0);
+    std::vector<double> weights(pool_size, 0.0);
     switch (options.ensemble_strategy) {
       case SmartMlOptions::EnsembleStrategy::kAccuracyWeighted:
         weights = pool_accuracy;
@@ -570,7 +606,7 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
                                 ? 0.0
                                 : *std::max_element(pool_accuracy.begin(),
                                                     pool_accuracy.end());
-        for (size_t i = 0; i < pool.size(); ++i) {
+        for (size_t i = 0; i < pool_size; ++i) {
           weights[i] = std::exp((pool_accuracy[i] - best) / 0.05);
         }
         break;
@@ -579,32 +615,23 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
         // Caruana forward selection with replacement on the validation
         // partition: repeatedly add the member that most improves the
         // running probability average. Weights = selection counts.
-        std::vector<std::vector<std::vector<double>>> member_proba;
-        for (const auto& member : pool) {
-          auto proba = member->PredictProba(validation);
-          if (!proba.ok()) {
-            member_proba.emplace_back();  // Never selected.
-            continue;
-          }
-          member_proba.push_back(std::move(*proba));
-        }
         const size_t rows = validation.NumRows();
         const size_t classes = validation.NumClasses();
         std::vector<std::vector<double>> running(
             rows, std::vector<double>(classes, 0.0));
         double picked_total = 0.0;
-        const int rounds = 2 * static_cast<int>(pool.size()) + 1;
+        const int rounds = 2 * static_cast<int>(pool_size) + 1;
         for (int round = 0; round < rounds; ++round) {
           int best_member = -1;
           double best_accuracy = -1.0;
-          for (size_t m = 0; m < pool.size(); ++m) {
-            if (member_proba[m].empty()) continue;
+          for (size_t m = 0; m < pool_size; ++m) {
+            const WeightedEnsemble::Proba& proba = member_proba(m);
             size_t hits = 0;
             for (size_t r = 0; r < rows; ++r) {
               int arg = 0;
               double top = -1.0;
               for (size_t k = 0; k < classes; ++k) {
-                const double v = running[r][k] + member_proba[m][r][k];
+                const double v = running[r][k] + proba[r][k];
                 if (v > top) {
                   top = v;
                   arg = static_cast<int>(k);
@@ -620,11 +647,10 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
             }
           }
           if (best_member < 0) break;
+          const WeightedEnsemble::Proba& picked =
+              member_proba(static_cast<size_t>(best_member));
           for (size_t r = 0; r < rows; ++r) {
-            for (size_t k = 0; k < classes; ++k) {
-              running[r][k] +=
-                  member_proba[static_cast<size_t>(best_member)][r][k];
-            }
+            for (size_t k = 0; k < classes; ++k) running[r][k] += picked[r][k];
           }
           weights[static_cast<size_t>(best_member)] += 1.0;
           picked_total += 1.0;
@@ -641,27 +667,34 @@ StatusOr<SmartMlResult> SmartML::RunTraced(const Dataset& dataset,
     }
 
     auto ensemble = std::make_unique<WeightedEnsemble>();
-    for (size_t i = 0; i < pool.size(); ++i) {
+    std::vector<const WeightedEnsemble::Proba*> kept_proba;
+    for (size_t i = 0; i < pool_size; ++i) {
       if (weights[i] > 0.0) {
-        ensemble->AddMember(std::move(pool[i]), weights[i]);
+        ensemble->AddMember(fitted[order[i]].model, weights[i]);
+        kept_proba.push_back(&member_proba(i));
       }
     }
     if (ensemble->NumMembers() >= 2) {
-      auto predictions = ensemble->Predict(validation);
-      if (predictions.ok()) {
-        result.ensemble_validation_accuracy =
-            Accuracy(validation.labels(), *predictions);
-      }
+      result.ensemble_validation_accuracy =
+          ProbaAccuracy(validation.labels(), ensemble->Blend(kept_proba));
       result.ensemble = std::move(ensemble);
     }
   }
+  // Release the candidate models that neither best_model nor the ensemble
+  // kept, and every stored probability matrix.
+  fitted.clear();
 
   // Optional interpretability (permutation importance on validation data).
   if (options.enable_interpretability && result.best_model != nullptr &&
       !budget.Stop()) {
     Span span(tracer, "interpret");
+    // Runs on the pool under the run's cancel token; a cancel mid-way
+    // cancels the run.
     auto importances = PermutationImportance(*result.best_model, validation,
                                              /*repeats=*/2, options.seed);
+    if (importances.status().code() == StatusCode::kCancelled) {
+      return importances.status();
+    }
     if (importances.ok()) result.importances = std::move(*importances);
   }
 

@@ -91,7 +91,8 @@ struct SmartMlOptions {
   /// Fold this run's results back into the knowledge base.
   bool update_kb = true;
   /// Intra-run parallelism: worker threads shared by the candidate-tuning
-  /// loop, the tuners' fold-evaluation batches and ensemble tree growth.
+  /// loop, the tuners' fold-evaluation batches, ensemble tree growth and
+  /// the output phase's permutation importance.
   /// <= 0 means auto (hardware concurrency); 1 forces the sequential path.
   /// Evaluation-capped runs are bit-identical at any thread count; see
   /// DESIGN.md "Parallel execution". The JobManager caps this value so
@@ -156,9 +157,10 @@ struct SmartMlResult {
   /// i.e. this result continues a run interrupted by a crash or restart.
   bool resumed_from_checkpoint = false;
 
-  /// Trained winner (on the training partition). Null in selection-only
-  /// mode.
-  std::unique_ptr<Classifier> best_model;
+  /// Trained winner (on the training partition): the model tuning refit and
+  /// scored, shared with the ensemble when the winner is also a member. Null
+  /// in selection-only mode.
+  std::shared_ptr<const Classifier> best_model;
   /// Weighted ensemble of the top performers (if enabled and >= 2 members).
   std::unique_ptr<WeightedEnsemble> ensemble;
   double ensemble_validation_accuracy = 0.0;
@@ -230,12 +232,6 @@ class SmartML {
   StatusOr<SmartMlResult> RunTraced(const Dataset& dataset,
                                     const SmartMlOptions& options,
                                     const RunBudget& budget, Tracer* tracer);
-
-  StatusOr<AlgorithmRunResult> TuneAlgorithm(
-      const SmartMlOptions& options, const std::string& algorithm,
-      const Dataset& train, const Dataset& validation, double budget_seconds,
-      int max_evaluations, const std::vector<ParamConfig>& warm_starts,
-      uint64_t seed, const RunBudget& budget, Tracer* tracer) const;
 
   SmartMlOptions options_;
   KnowledgeBase kb_;

@@ -1,9 +1,12 @@
 #include "src/interpret/interpret.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "src/common/cancellation.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/data/metrics.h"
 
 namespace smartml {
@@ -17,22 +20,49 @@ StatusOr<std::vector<FeatureImportance>> PermutationImportance(
   SMARTML_ASSIGN_OR_RETURN(std::vector<int> base_pred, model.Predict(data));
   const double base_accuracy = Accuracy(data.labels(), base_pred);
 
-  Rng rng(seed);
+  // One task per (feature, repeat), feature-major. The permutations come
+  // from one Rng stream in task order, as a sequential loop would draw
+  // them: record where each task's shuffle starts, then advance the stream
+  // by shuffling a same-sized scratch column (a shuffle's draws depend only
+  // on the length). Each task replays its shuffle from its recorded start,
+  // so the tasks can run in any order on any thread.
+  const size_t reps = static_cast<size_t>(std::max(1, repeats));
+  const size_t tasks = data.NumFeatures() * reps;
+  std::vector<std::array<uint64_t, 4>> shuffle_start(tasks);
+  {
+    Rng rng(seed);
+    std::vector<double> scratch(data.NumRows());
+    for (size_t t = 0; t < tasks; ++t) {
+      shuffle_start[t] = rng.State();
+      rng.Shuffle(&scratch);
+    }
+  }
+
+  std::vector<double> drop(tasks, 0.0);
+  SMARTML_RETURN_NOT_OK(ParallelFor(
+      tasks,
+      [&](size_t t) -> Status {
+        Dataset shuffled = data;
+        Rng rng;
+        rng.SetState(shuffle_start[t]);
+        rng.Shuffle(&shuffled.mutable_feature(t / reps).values);
+        SMARTML_ASSIGN_OR_RETURN(std::vector<int> pred,
+                                 model.Predict(shuffled));
+        drop[t] = base_accuracy - Accuracy(data.labels(), pred);
+        return Status::OK();
+      },
+      CurrentCancelToken()));
+
   std::vector<FeatureImportance> out;
   out.reserve(data.NumFeatures());
   for (size_t f = 0; f < data.NumFeatures(); ++f) {
+    // Summed in repeat order, exactly as the drops would accumulate
+    // sequentially.
     double drop_sum = 0.0;
-    for (int rep = 0; rep < std::max(1, repeats); ++rep) {
-      Dataset shuffled = data;
-      auto& col = shuffled.mutable_feature(f).values;
-      rng.Shuffle(&col);
-      SMARTML_ASSIGN_OR_RETURN(std::vector<int> pred,
-                               model.Predict(shuffled));
-      drop_sum += base_accuracy - Accuracy(data.labels(), pred);
-    }
+    for (size_t rep = 0; rep < reps; ++rep) drop_sum += drop[f * reps + rep];
     FeatureImportance fi;
     fi.feature = data.feature(f).name;
-    fi.importance = drop_sum / std::max(1, repeats);
+    fi.importance = drop_sum / static_cast<double>(reps);
     out.push_back(std::move(fi));
   }
   std::sort(out.begin(), out.end(),

@@ -22,6 +22,9 @@ struct FeatureImportance {
 
 /// Permutation importance of every feature of `data` for trained `model`,
 /// sorted descending. `repeats` permutations are averaged per feature.
+/// The (feature, repeat) predictions run on CurrentThreadPool(), calling
+/// `model`'s const Predict concurrently, and stop with kCancelled when the
+/// current cancel token fires; the result is the same at any thread count.
 StatusOr<std::vector<FeatureImportance>> PermutationImportance(
     const Classifier& model, const Dataset& data, int repeats = 3,
     uint64_t seed = 97);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -857,6 +858,17 @@ Status KnowledgeBase::SaveToFile(const std::string& path,
         ->Increment();
   }
   return status;
+}
+
+std::string KbSnapshotSavePath(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char head[kKbSnapshotMagic.size()];
+  in.read(head, sizeof(head));
+  const size_t got = static_cast<size_t>(in.gcount());
+  if (got == 0 || LooksLikeKbSnapshot(std::string_view(head, got))) {
+    return path;  // Missing, empty, or already a binary snapshot.
+  }
+  return path + ".snap";
 }
 
 StatusOr<KnowledgeBase> KnowledgeBase::LoadFromFile(const std::string& path) {

@@ -285,6 +285,13 @@ class KnowledgeBase {
   size_t tree_records_ = 0;
 };
 
+/// Where a binary SaveToFile meant for `path` should write: `path` itself,
+/// unless `path` holds a legacy text KB. Then it is the sibling
+/// `path` + ".snap", so a text KB (such as the checked-in data/seed_kb.txt)
+/// is never silently rewritten as a binary snapshot under its text name.
+/// Callers that get a different path back should say so to the user.
+std::string KbSnapshotSavePath(const std::string& path);
+
 }  // namespace smartml
 
 #endif  // SMARTML_KB_KNOWLEDGE_BASE_H_

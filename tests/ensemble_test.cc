@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "src/common/thread_pool.h"
 #include "src/core/ensemble.h"
 #include "src/data/metrics.h"
 #include "src/data/synthetic.h"
@@ -128,6 +129,61 @@ TEST(EnsembleTest, EnsembleAtLeastCompetitiveWithWeakestMember) {
   ASSERT_TRUE(pred.ok());
   const double ensemble_acc = Accuracy(test.labels(), *pred);
   EXPECT_GE(ensemble_acc, weakest - 0.05);
+}
+
+TEST(EnsembleTest, BlendOfStoredPredictionsEqualsPredictProba) {
+  // The output phase blends the members' stored validation probabilities
+  // instead of predicting again; the two paths must agree bit for bit.
+  const Dataset d = MakeData();
+  std::shared_ptr<Classifier> knn = std::make_shared<KnnClassifier>();
+  ASSERT_TRUE(knn->Fit(d, KnnClassifier::Space().DefaultConfig()).ok());
+  std::shared_ptr<Classifier> nb = std::make_shared<NaiveBayesClassifier>();
+  ASSERT_TRUE(nb->Fit(d, NaiveBayesClassifier::Space().DefaultConfig()).ok());
+  WeightedEnsemble ensemble;
+  ensemble.AddMember(knn, 0.9);
+  ensemble.AddMember(nb, 0.7);
+
+  auto knn_proba = knn->PredictProba(d);
+  auto nb_proba = nb->PredictProba(d);
+  auto proba = ensemble.PredictProba(d);
+  ASSERT_TRUE(knn_proba.ok() && nb_proba.ok() && proba.ok());
+  EXPECT_EQ(ensemble.Blend({&*knn_proba, &*nb_proba}), *proba);
+}
+
+TEST(EnsembleTest, SharedMembersPredictConcurrently) {
+  // A run's winner is both its best_model and an ensemble member. Two
+  // ensembles share one model here and predict from four threads at once
+  // (the thread-sanitizer leg of scripts/tier1.sh runs this binary).
+  const Dataset d = MakeData();
+  std::shared_ptr<Classifier> shared = std::make_shared<J48Classifier>();
+  ASSERT_TRUE(shared->Fit(d, J48Classifier::Space().DefaultConfig()).ok());
+  auto knn = std::make_unique<KnnClassifier>();
+  ASSERT_TRUE(knn->Fit(d, KnnClassifier::Space().DefaultConfig()).ok());
+  auto nb = std::make_unique<NaiveBayesClassifier>();
+  ASSERT_TRUE(nb->Fit(d, NaiveBayesClassifier::Space().DefaultConfig()).ok());
+  WeightedEnsemble first, second;
+  first.AddMember(shared, 0.8);
+  first.AddMember(std::move(knn), 0.9);
+  second.AddMember(shared, 0.8);
+  second.AddMember(std::move(nb), 0.7);
+  auto first_expected = first.PredictProba(d);
+  auto second_expected = second.PredictProba(d);
+  ASSERT_TRUE(first_expected.ok() && second_expected.ok());
+
+  ThreadPool pool(3);
+  std::vector<WeightedEnsemble::Proba> got(16);
+  ASSERT_TRUE(ParallelFor(
+                  got.size(),
+                  [&](size_t i) -> Status {
+                    SMARTML_ASSIGN_OR_RETURN(
+                        got[i], (i % 2 == 0 ? first : second).PredictProba(d));
+                    return Status::OK();
+                  },
+                  nullptr, &pool)
+                  .ok());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], i % 2 == 0 ? *first_expected : *second_expected) << i;
+  }
 }
 
 }  // namespace

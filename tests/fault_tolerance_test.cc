@@ -251,6 +251,41 @@ TEST_F(FaultTolerance, ThrowingCandidateDegradesRunToSurvivors) {
   EXPECT_TRUE(found_failure_span);
 }
 
+TEST_F(FaultTolerance, RefitFailureFailsTheCandidateNotTheRun) {
+  // refit_fail:1x fails the post-tuning refit of the first candidate (knn).
+  // It must be reported as a failed candidate and kept out of the ranking,
+  // the ensemble and the KB record, not ranked at validation accuracy 0.
+  ASSERT_TRUE(FaultInjection::Instance().SetSpec("refit_fail:1x").ok());
+  Counter* failed = GlobalMetrics().GetCounter(
+      "smartml_candidates_failed_total",
+      "Nominated algorithms whose tuning failed; the run degrades to the "
+      "surviving candidates.");
+  const uint64_t failed_before = failed->Value();
+
+  SmartML framework(FastOptions());
+  auto result = framework.Run(SmallDataset("refit_fail_ds"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->degraded);
+  ASSERT_EQ(result->failed_candidates.size(), 1u);
+  EXPECT_EQ(result->failed_candidates[0].algorithm, "knn");
+  EXPECT_NE(result->failed_candidates[0].error.find("refit_fail"),
+            std::string::npos)
+      << result->failed_candidates[0].error;
+  EXPECT_EQ(failed->Value(), failed_before + 1);
+
+  ASSERT_EQ(result->per_algorithm.size(), 1u);
+  EXPECT_EQ(result->per_algorithm[0].algorithm, "rpart");
+  EXPECT_EQ(result->best_algorithm, "rpart");
+  ASSERT_NE(result->best_model, nullptr);
+  // One survivor cannot form an ensemble.
+  EXPECT_EQ(result->ensemble, nullptr);
+
+  const auto record = framework.kb().Find("refit_fail_ds");
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->results.size(), 1u);
+  EXPECT_EQ(record->results[0].algorithm, "rpart");
+}
+
 TEST_F(FaultTolerance, AllCandidatesFailingFailsTheRun) {
   ASSERT_TRUE(FaultInjection::Instance().SetSpec("tuner_throw").ok());
   SmartML framework(FastOptions());

@@ -218,6 +218,39 @@ TEST(KbSnapshot, KnowledgeBaseSniffsBothFormats) {
   }
 }
 
+TEST(KbSnapshot, BinarySaveNeverOverwritesATextKb) {
+  KnowledgeBase kb;
+  for (int i = 0; i < 3; ++i) kb.AddRecord(MakeRecord(i));
+
+  // Missing and binary files are saved in place.
+  const std::string binary_path = TempPath("kb_save_path_binary");
+  std::remove(binary_path.c_str());
+  EXPECT_EQ(KbSnapshotSavePath(binary_path), binary_path);
+  ASSERT_TRUE(kb.SaveToFile(binary_path).ok());
+  EXPECT_EQ(KbSnapshotSavePath(binary_path), binary_path);
+
+  // A text KB is left alone: the snapshot goes to a sibling path, and the
+  // text file keeps its bytes and still loads.
+  const std::string text_path = TempPath("kb_save_path_text");
+  const std::string text = kb.Serialize();
+  WriteAll(text_path, text);
+  const std::string save_path = KbSnapshotSavePath(text_path);
+  EXPECT_EQ(save_path, text_path + ".snap");
+  kb.AddRecord(MakeRecord(3));
+  ASSERT_TRUE(kb.SaveToFile(save_path).ok());
+  auto kept = ReadFileBytes(text_path);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(*kept, text);
+  auto saved = KnowledgeBase::LoadFromFile(save_path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved->NumRecords(), 4u);
+
+  for (const std::string& path :
+       {binary_path, binary_path + ".bak", text_path, save_path}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(KbSnapshot, TornBinaryFileFallsBackToTextBak) {
   // Main file: torn beyond salvage (header only). .bak: legacy text format.
   // LoadFromFile must sniff both and recover the .bak contents.

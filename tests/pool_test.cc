@@ -245,43 +245,67 @@ TEST(ParallelDeterminismTest, RunIsIdenticalAtOneAndEightThreads) {
   spec.name = "determinism_ds";
   const Dataset dataset = GenerateSynthetic(spec);
 
-  auto run = [&](int num_threads) {
-    SmartMlOptions options;
-    options.max_evaluations = 24;
-    options.cv_folds = 2;
-    options.cold_start_algorithms = {"knn", "naive_bayes", "rpart",
-                                     "random_forest"};
-    options.enable_ensembling = true;
-    options.enable_interpretability = false;
-    options.update_kb = false;
-    options.num_threads = num_threads;
-    SmartML framework(options);
-    auto result = framework.Run(dataset, options);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return result;
-  };
+  using Strategy = SmartMlOptions::EnsembleStrategy;
+  for (Strategy strategy : {Strategy::kAccuracyWeighted, Strategy::kGreedy}) {
+    SCOPED_TRACE(strategy == Strategy::kGreedy ? "greedy" : "accuracy");
+    auto run = [&](int num_threads) {
+      SmartMlOptions options;
+      options.max_evaluations = 24;
+      options.cv_folds = 2;
+      options.cold_start_algorithms = {"knn", "naive_bayes", "rpart",
+                                       "random_forest"};
+      options.enable_ensembling = true;
+      options.ensemble_strategy = strategy;
+      options.enable_interpretability = true;
+      options.update_kb = false;
+      options.num_threads = num_threads;
+      SmartML framework(options);
+      auto result = framework.Run(dataset, options);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      return result;
+    };
 
-  auto sequential = run(1);
-  auto parallel = run(8);
-  ASSERT_TRUE(sequential.ok() && parallel.ok());
+    auto sequential = run(1);
+    auto parallel = run(8);
+    ASSERT_TRUE(sequential.ok() && parallel.ok());
 
-  EXPECT_EQ(sequential->best_algorithm, parallel->best_algorithm);
-  EXPECT_EQ(sequential->best_config.ToString(),
-            parallel->best_config.ToString());
-  EXPECT_DOUBLE_EQ(sequential->best_validation_accuracy,
-                   parallel->best_validation_accuracy);
-  ASSERT_EQ(sequential->per_algorithm.size(), parallel->per_algorithm.size());
-  for (size_t i = 0; i < sequential->per_algorithm.size(); ++i) {
-    const AlgorithmRunResult& a = sequential->per_algorithm[i];
-    const AlgorithmRunResult& b = parallel->per_algorithm[i];
-    EXPECT_EQ(a.algorithm, b.algorithm) << i;
-    EXPECT_EQ(a.best_config.ToString(), b.best_config.ToString()) << i;
-    EXPECT_DOUBLE_EQ(a.validation_accuracy, b.validation_accuracy) << i;
-    EXPECT_DOUBLE_EQ(a.tuning_cost, b.tuning_cost) << i;
-    EXPECT_EQ(a.evaluations, b.evaluations) << i;
-    ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << i;
-    for (size_t t = 0; t < a.trajectory.size(); ++t) {
-      EXPECT_DOUBLE_EQ(a.trajectory[t], b.trajectory[t]) << i << ":" << t;
+    EXPECT_EQ(sequential->best_algorithm, parallel->best_algorithm);
+    EXPECT_EQ(sequential->best_config.ToString(),
+              parallel->best_config.ToString());
+    EXPECT_DOUBLE_EQ(sequential->best_validation_accuracy,
+                     parallel->best_validation_accuracy);
+    ASSERT_EQ(sequential->per_algorithm.size(),
+              parallel->per_algorithm.size());
+    for (size_t i = 0; i < sequential->per_algorithm.size(); ++i) {
+      const AlgorithmRunResult& a = sequential->per_algorithm[i];
+      const AlgorithmRunResult& b = parallel->per_algorithm[i];
+      EXPECT_EQ(a.algorithm, b.algorithm) << i;
+      EXPECT_EQ(a.best_config.ToString(), b.best_config.ToString()) << i;
+      EXPECT_DOUBLE_EQ(a.validation_accuracy, b.validation_accuracy) << i;
+      EXPECT_DOUBLE_EQ(a.tuning_cost, b.tuning_cost) << i;
+      EXPECT_EQ(a.evaluations, b.evaluations) << i;
+      ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << i;
+      for (size_t t = 0; t < a.trajectory.size(); ++t) {
+        EXPECT_DOUBLE_EQ(a.trajectory[t], b.trajectory[t]) << i << ":" << t;
+      }
+    }
+
+    // The output phase: ensemble weights and accuracy, and the permutation
+    // importances computed across the pool, must match exactly.
+    ASSERT_NE(sequential->ensemble, nullptr);
+    ASSERT_NE(parallel->ensemble, nullptr);
+    EXPECT_EQ(sequential->ensemble->weights(), parallel->ensemble->weights());
+    EXPECT_EQ(sequential->ensemble_validation_accuracy,
+              parallel->ensemble_validation_accuracy);
+    ASSERT_FALSE(sequential->importances.empty());
+    ASSERT_EQ(sequential->importances.size(), parallel->importances.size());
+    for (size_t f = 0; f < sequential->importances.size(); ++f) {
+      EXPECT_EQ(sequential->importances[f].feature,
+                parallel->importances[f].feature)
+          << f;
+      EXPECT_EQ(sequential->importances[f].importance,
+                parallel->importances[f].importance)
+          << f;
     }
   }
 }
