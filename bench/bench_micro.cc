@@ -16,6 +16,7 @@
 #include "src/kb/knowledge_base.h"
 #include "src/metafeatures/metafeatures.h"
 #include "src/ml/decision_tree.h"
+#include "src/ml/forest.h"
 #include "src/ml/registry.h"
 #include "src/preprocess/preprocess.h"
 #include "src/tuning/objective.h"
@@ -264,6 +265,30 @@ BENCHMARK(BM_TreeGrowHistogram)
     ->Arg(5000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
+
+// A default-config random forest (100 trees, mtry 30% of the features,
+// nodesize 1) on a 400 x 64, 12-class set: the regime the SmartML tuner
+// spends most of its tree time in, where bootstrap trees grow to leaves of
+// one to a few rows and each node's histogram scan must cost what its rows
+// occupy rather than every bin. BM_TreeGrow* (min_leaf 20, no mtry) never
+// reaches that regime. No thread pool is in scope, so the trees grow one
+// after another on the calling thread.
+void BM_ForestFit(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.num_instances = 400;
+  spec.num_informative = 32;
+  spec.num_noise = 32;
+  spec.num_classes = 12;
+  spec.seed = 11;
+  const Dataset d = GenerateSynthetic(spec);
+  d.Binned();  // Built once per dataset and cached, as in a tuning run.
+  const ParamConfig config = RandomForestClassifier::Space().DefaultConfig();
+  for (auto _ : state) {
+    RandomForestClassifier forest;
+    benchmark::DoNotOptimize(forest.Fit(d, config));
+  }
+}
+BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond);
 
 // The unrolled squared-distance kernel scanned over a KB-sized block of
 // 25-dim meta-feature vectors — the inner loop of every neighbour lookup.

@@ -35,8 +35,9 @@ MAX_SLOWDOWN = 4.0
 MIN_KD_SPEEDUP = 5.0
 # Histogram tree growth vs exact split search at 50k rows x 50 features.
 # Like the k-d tree gate this is a within-run ratio, so machine speed
-# cancels out. At 5k rows the histogram path only has to break even (the
-# per-node bin sweep has fixed costs that small data does not amortize).
+# cancels out. At 5k rows the floor is only break-even, though the
+# histogram path runs ~25-35x faster there too: a node pays for its rows
+# and the bins they occupy, not for every bin of every feature.
 MIN_HIST_SPEEDUP = 3.0
 
 # Benchmarks under the absolute slowdown gate.
@@ -49,6 +50,9 @@ GATED = [
     "BM_KbLookupKdTree/100000",
     "BM_TreeGrowHistogram/5000",
     "BM_TreeGrowHistogram/50000",
+    # Default random forest, 400 x 64, 12 classes, one thread: the
+    # small-node regime BM_TreeGrow* (min_leaf 20, no mtry) never reaches.
+    "BM_ForestFit",
     "BM_MetaFeatureDistanceScan/10000",
 ]
 

@@ -269,6 +269,8 @@ std::string ResultToJson(const SmartMlResult& result) {
     w.Number(run.tuning_cost);
     w.Key("evaluations");
     w.Int(static_cast<int64_t>(run.evaluations));
+    w.Key("failed_evaluations");
+    w.Int(static_cast<int64_t>(run.failed_evaluations));
     w.Key("seconds");
     w.Number(run.seconds);
     w.Key("best_config");

@@ -52,18 +52,33 @@ inline double SquaredDistance(const double* a, const double* b, size_t n) {
 #endif
 }
 
+/// Words of a bin-occupancy mask: one bit per histogram slot 0..255 (every
+/// uint8_t bin code, the missing-bin slot included).
+inline constexpr size_t kBinMaskWords = 4;
+inline constexpr size_t kBinMaskSlots = 64 * kBinMaskWords;
+
 /// Scatters `n` training rows into per-bin class histograms: for each listed
-/// row r, adds w[r] to wsum[bin(r) * num_classes + y[r]] and bumps
-/// cnt[bin(r)]. Codes equal to or above `num_bins` (the missing-bin code,
-/// 255) land in the overflow slot `num_bins`, so wsum must hold
-/// (num_bins + 1) * num_classes entries and cnt (num_bins + 1). The gather
-/// side (row indices, codes, labels, weights) is unrolled four-wide so the
-/// loads overlap; the scatter adds stay scalar because two lanes may hit the
-/// same bin.
+/// row r, adds w[r] to wsum[bin(r) * num_classes + y[r]], bumps cnt[bin(r)]
+/// and sets bit bin(r) of the kBinMaskWords-word mask `occupied`, so a caller
+/// can later visit (and re-zero) only the slots these rows touched. Codes
+/// equal to or above `num_bins` (the missing-bin code, 255) land in the
+/// overflow slot `num_bins`, so wsum must hold (num_bins + 1) * num_classes
+/// entries and cnt (num_bins + 1). The gather side (row indices, codes,
+/// labels, weights) is unrolled four-wide so the loads overlap; the scatter
+/// adds stay scalar because two lanes may hit the same bin.
 inline void AccumulateBinHistogram(const uint8_t* codes, const size_t* rows,
                                    size_t n, const int* y, const double* w,
                                    size_t num_classes, size_t num_bins,
-                                   double* wsum, uint32_t* cnt) {
+                                   double* wsum, uint32_t* cnt,
+                                   uint64_t* occupied) {
+  // Each row flags its slot in a byte map: one plain store, no dependence
+  // between rows. The flags are folded into the mask at the end.
+  uint8_t touched[kBinMaskSlots] = {};
+  auto scatter = [&](size_t b, size_t label, double weight) {
+    wsum[b * num_classes + label] += weight;
+    ++cnt[b];
+    touched[b] = 1;
+  };
 #if !defined(SMARTML_SIMD_SCALAR)
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -79,31 +94,46 @@ inline void AccumulateBinHistogram(const uint8_t* codes, const size_t* rows,
     if (b1 > num_bins) b1 = num_bins;
     if (b2 > num_bins) b2 = num_bins;
     if (b3 > num_bins) b3 = num_bins;
-    wsum[b0 * num_classes + static_cast<size_t>(y[r0])] += w[r0];
-    ++cnt[b0];
-    wsum[b1 * num_classes + static_cast<size_t>(y[r1])] += w[r1];
-    ++cnt[b1];
-    wsum[b2 * num_classes + static_cast<size_t>(y[r2])] += w[r2];
-    ++cnt[b2];
-    wsum[b3 * num_classes + static_cast<size_t>(y[r3])] += w[r3];
-    ++cnt[b3];
+    const auto y0 = static_cast<size_t>(y[r0]);
+    const auto y1 = static_cast<size_t>(y[r1]);
+    const auto y2 = static_cast<size_t>(y[r2]);
+    const auto y3 = static_cast<size_t>(y[r3]);
+    const double w0 = w[r0];
+    const double w1 = w[r1];
+    const double w2 = w[r2];
+    const double w3 = w[r3];
+    scatter(b0, y0, w0);
+    scatter(b1, y1, w1);
+    scatter(b2, y2, w2);
+    scatter(b3, y3, w3);
   }
   for (; i < n; ++i) {
     const size_t r = rows[i];
     size_t b = codes[r];
     if (b > num_bins) b = num_bins;
-    wsum[b * num_classes + static_cast<size_t>(y[r])] += w[r];
-    ++cnt[b];
+    scatter(b, static_cast<size_t>(y[r]), w[r]);
   }
 #else
   for (size_t i = 0; i < n; ++i) {
     const size_t r = rows[i];
     size_t b = codes[r];
     if (b > num_bins) b = num_bins;
-    wsum[b * num_classes + static_cast<size_t>(y[r])] += w[r];
-    ++cnt[b];
+    scatter(b, static_cast<size_t>(y[r]), w[r]);
   }
 #endif
+  for (size_t word = 0; word < kBinMaskWords; ++word) {
+    uint64_t bits = 0;
+    for (size_t j = 0; j < 8; ++j) {
+      // Eight 0/1 flags, flag t at bit 8t (compilers merge this into one
+      // load on little-endian targets), folded into eight bits by one
+      // multiply: bit 56 + t of the product is flag t.
+      const uint8_t* group = touched + word * 64 + j * 8;
+      uint64_t flags = 0;
+      for (size_t t = 0; t < 8; ++t) flags |= uint64_t{group[t]} << (8 * t);
+      bits |= ((flags * 0x0102040810204080ull) >> 56) << (j * 8);
+    }
+    occupied[word] |= bits;
+  }
 }
 
 }  // namespace smartml

@@ -156,6 +156,7 @@ StatusOr<AlgorithmRunResult> TuneAlgorithm(
   run.best_config = tuned.best_config;
   run.tuning_cost = tuned.best_cost;
   run.evaluations = tuned.num_evaluations;
+  run.failed_evaluations = objective->num_failed_evaluations();
   run.trajectory = std::move(tuned.trajectory);
   run.resumed = tuned.resumed;
 
@@ -768,9 +769,10 @@ std::string SmartMlResult::Report() const {
     out << "tuned algorithms:\n";
     for (const auto& run : per_algorithm) {
       out << StrFormat(
-          "  - %-14s val-acc %.4f  cv-err %.4f  evals %4zu  %.2fs\n",
+          "  - %-14s val-acc %.4f  cv-err %.4f  evals %4zu  failed %zu  "
+          "%.2fs\n",
           run.algorithm.c_str(), run.validation_accuracy, run.tuning_cost,
-          run.evaluations, run.seconds);
+          run.evaluations, run.failed_evaluations, run.seconds);
     }
     out << "best algorithm: " << best_algorithm << "\n";
     out << "best configuration: " << best_config.ToString() << "\n";

@@ -114,6 +114,9 @@ struct AlgorithmRunResult {
   double validation_accuracy = 0.0;  ///< On the held-out validation split.
   double tuning_cost = 1.0;          ///< SMAC's incumbent mean fold error.
   size_t evaluations = 0;
+  /// Fold evaluations whose fit or predict failed and were scored as the
+  /// worst cost (1.0) so the tuner could route around the config.
+  size_t failed_evaluations = 0;
   double seconds = 0.0;
   std::vector<double> trajectory;    ///< Incumbent error per evaluation.
   /// True when the tuner continued from a checkpoint (crash recovery).

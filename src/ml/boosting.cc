@@ -35,11 +35,15 @@ struct BoostResult {
   std::vector<double> alphas;
 };
 
+// `binned` is the binned view of `x` every round trains on (the training
+// Dataset's cached Binned() when `x` is its unmasked raw matrix); when null
+// it is built from `x` once, before the first round.
 Status RunSamme(const Matrix& x, const TreeSchema& schema,
                 const std::vector<int>& y, int num_classes, int rounds,
                 const TreeOptions& tree_options, bool early_stopping,
                 double beta, double lambda, bool logistic_weights,
-                uint64_t seed, BoostResult* out) {
+                uint64_t seed, std::shared_ptr<const BinnedColumns> binned,
+                BoostResult* out) {
   const size_t n = x.rows();
   // Weights are kept at sample scale (sum == n): the tree's pruning bounds
   // interpret node weight as a case count, so unit-mean weights are required
@@ -49,10 +53,9 @@ Status RunSamme(const Matrix& x, const TreeSchema& schema,
   const double k = std::max(2, num_classes);
   const double log_km1 = std::log(k - 1.0);
 
-  // Bin once, reuse across every round: only the sample weights change
+  // One binned view serves every round: only the sample weights change
   // between rounds, never the feature values.
-  std::shared_ptr<const BinnedColumns> binned;
-  if (tree_options.split_mode == TreeSplitMode::kHistogram) {
+  if (!binned && tree_options.split_mode == TreeSplitMode::kHistogram) {
     binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
         x, schema.categorical, schema.cardinalities));
   }
@@ -156,11 +159,7 @@ StatusOr<std::vector<std::vector<double>>> BoostPredict(
         for (size_t r = begin; r < end; ++r) {
           const double* row = x.RowPtr(r);
           for (size_t t = 0; t < trees.size(); ++t) {
-            const std::vector<double> p = trees[t].PredictProbaRow(row);
-            for (int c = 0; c < num_classes; ++c) {
-              out[r][static_cast<size_t>(c)] +=
-                  alphas[t] * p[static_cast<size_t>(c)];
-            }
+            trees[t].AddProbaRow(row, alphas[t], out[r].data());
           }
           NormalizeProba(&out[r]);
         }
@@ -214,13 +213,16 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.max_depth = rules ? 8 : 30;
   options.split_mode = TreeSplitMode::kHistogram;
 
+  // The training set's cached binned view; winnowing that masks columns
+  // needs a view of the masked matrix instead (RunSamme builds it).
+  std::shared_ptr<const BinnedColumns> binned = train.Binned();
   active_features_.assign(num_features_, true);
   if (winnow && num_features_ > 2) {
     // Screening pass: drop features that contribute no split gain to an
     // unboosted tree (C5.0's winnowing estimates predictive value upfront).
     DecisionTree probe;
     SMARTML_RETURN_NOT_OK(probe.Fit(x, schema, train.labels(), num_classes_,
-                                    {}, options));
+                                    {}, options, binned));
     const std::vector<double> imp = probe.FeatureImportances(num_features_);
     size_t kept = 0;
     for (size_t f = 0; f < num_features_; ++f) {
@@ -231,6 +233,7 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
       active_features_.assign(num_features_, true);
     } else if (kept < num_features_) {
       x = ApplyFeatureMask(x, active_features_);
+      binned = nullptr;
     }
   }
 
@@ -238,7 +241,7 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   SMARTML_RETURN_NOT_OK(RunSamme(x, schema, train.labels(), num_classes_,
                                  trials, options, early, /*beta=*/0.0,
                                  /*lambda=*/0.0, /*logistic_weights=*/false,
-                                 seed, &result));
+                                 seed, std::move(binned), &result));
   trees_ = std::move(result.trees);
   alphas_ = std::move(result.alphas);
   return Status::OK();
@@ -300,7 +303,7 @@ Status DeepBoostClassifier::Fit(const Dataset& train,
                                  TreeSchema::FromDataset(train),
                                  train.labels(), num_classes_, rounds, options,
                                  /*early_stopping=*/false, beta, lambda,
-                                 logistic, seed, &result));
+                                 logistic, seed, train.Binned(), &result));
   trees_ = std::move(result.trees);
   alphas_ = std::move(result.alphas);
   return Status::OK();

@@ -26,6 +26,9 @@ class C50Classifier : public Classifier {
   }
 
   size_t NumRounds() const { return trees_.size(); }
+  /// The boosted trees and their vote weights, in round order.
+  const std::vector<DecisionTree>& trees() const { return trees_; }
+  const std::vector<double>& alphas() const { return alphas_; }
 
  private:
   std::vector<DecisionTree> trees_;
@@ -54,6 +57,9 @@ class DeepBoostClassifier : public Classifier {
   }
 
   size_t NumRounds() const { return trees_.size(); }
+  /// The boosted trees and their vote weights, in round order.
+  const std::vector<DecisionTree>& trees() const { return trees_; }
+  const std::vector<double>& alphas() const { return alphas_; }
 
  private:
   std::vector<DecisionTree> trees_;

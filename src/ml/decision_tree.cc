@@ -1,6 +1,7 @@
 #include "src/ml/decision_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -14,20 +15,26 @@ namespace smartml {
 
 namespace {
 
-double GiniImpurity(const std::vector<double>& counts, double total) {
+// Impurities over a raw K-vector of class weights. Histogram growth calls
+// them once per candidate boundary, so they take pointers into its scratch
+// instead of vectors; the operations and their order are fixed, which keeps
+// gains bit-identical between the exact and histogram builders.
+inline double GiniImpurity(const double* counts, size_t num_k, double total) {
   if (total <= 0) return 0.0;
   double sum_sq = 0.0;
-  for (double c : counts) {
-    const double p = c / total;
+  for (size_t k = 0; k < num_k; ++k) {
+    const double p = counts[k] / total;
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
 }
 
-double EntropyImpurity(const std::vector<double>& counts, double total) {
+inline double EntropyImpurity(const double* counts, size_t num_k,
+                              double total) {
   if (total <= 0) return 0.0;
   double h = 0.0;
-  for (double c : counts) {
+  for (size_t k = 0; k < num_k; ++k) {
+    const double c = counts[k];
     if (c <= 0) continue;
     const double p = c / total;
     h -= p * std::log2(p);
@@ -35,10 +42,16 @@ double EntropyImpurity(const std::vector<double>& counts, double total) {
   return h;
 }
 
-double Impurity(TreeCriterion criterion, const std::vector<double>& counts,
-                double total) {
-  return criterion == TreeCriterion::kGini ? GiniImpurity(counts, total)
-                                           : EntropyImpurity(counts, total);
+inline double Impurity(TreeCriterion criterion, const double* counts,
+                       size_t num_k, double total) {
+  return criterion == TreeCriterion::kGini
+             ? GiniImpurity(counts, num_k, total)
+             : EntropyImpurity(counts, num_k, total);
+}
+
+inline double Impurity(TreeCriterion criterion,
+                       const std::vector<double>& counts, double total) {
+  return Impurity(criterion, counts.data(), counts.size(), total);
 }
 
 struct SplitCandidate {
@@ -52,6 +65,260 @@ struct SplitCandidate {
   double score = -std::numeric_limits<double>::infinity();
   double gain = 0.0;  // Weighted impurity decrease (always entropy/gini gain).
 };
+
+// Writes the set bits of a kBinMaskWords-word occupancy mask that are below
+// `limit` to `out`, ascending, and returns how many there are.
+size_t OccupiedBins(const uint64_t* occupied, size_t limit, uint16_t* out) {
+  size_t n = 0;
+  for (size_t i = 0; i < kBinMaskWords; ++i) {
+    for (uint64_t bits = occupied[i]; bits != 0; bits &= bits - 1) {
+      const size_t b = i * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (b >= limit) return n;
+      out[n++] = static_cast<uint16_t>(b);
+    }
+  }
+  return n;
+}
+
+// Zeroes the histogram slots an occupancy mask lists, then the mask: the
+// slots nobody touched are zero already. `slots` is the feature's slot
+// count (num_bins + 1); when most of them are occupied one contiguous fill
+// is cheaper than visiting them bit by bit, and costs no more than twice
+// the occupied slots.
+void ClearOccupied(double* wsum, uint32_t* cnt, uint64_t* occupied,
+                   size_t slots, size_t num_k) {
+  size_t num_occupied = 0;
+  for (size_t i = 0; i < kBinMaskWords; ++i) {
+    num_occupied += static_cast<size_t>(std::popcount(occupied[i]));
+  }
+  if (2 * num_occupied >= slots) {
+    std::fill(wsum, wsum + slots * num_k, 0.0);
+    std::fill(cnt, cnt + slots, 0u);
+    std::fill(occupied, occupied + kBinMaskWords, uint64_t{0});
+    return;
+  }
+  for (size_t i = 0; i < kBinMaskWords; ++i) {
+    for (uint64_t bits = occupied[i]; bits != 0; bits &= bits - 1) {
+      const size_t b = i * 64 + static_cast<size_t>(std::countr_zero(bits));
+      for (size_t k = 0; k < num_k; ++k) wsum[b * num_k + k] = 0.0;
+      cnt[b] = 0;
+    }
+    occupied[i] = 0;
+  }
+}
+
+// Per-bin class-weight sums and row counts of one or more features, with
+// the occupancy masks that list their nonzero slots.
+struct BinHistogram {
+  std::vector<double> wsum;
+  std::vector<uint32_t> cnt;
+  std::vector<uint64_t> occ;
+};
+
+// All-feature histograms a finished fit handed back on this thread, all
+// zero, kept for the next fit whose layout has the same size. A tree needs
+// only a handful of them, but returning them to the allocator after every
+// fit made the next fit fault their pages back in and zero them again.
+// Capped so a thread never keeps more than kMaxCachedHistBytes.
+struct HistCache {
+  size_t total_w = 0;
+  size_t total_n = 0;
+  size_t occ_words = 0;
+  std::vector<BinHistogram> hists;
+};
+constexpr size_t kMaxCachedHistBytes = size_t{8} << 20;
+thread_local HistCache hist_cache;
+
+// Scratch of one split scan, sized once per tree.
+struct ScanScratch {
+  std::vector<double> left;
+  std::vector<double> right;
+  std::vector<double> total;
+  std::vector<uint16_t> bins;  // Occupied value bins, ascending.
+};
+
+// Searches one feature's bin histogram for the best split and records it in
+// `best` when it beats the incumbent. Only the bins `occupied` lists are
+// visited, in ascending order. A slot off the mask holds exactly zero, so
+// skipping it skips additions of +0.0 and boundaries the full sweep would
+// pass over, and the sums, gains and winner are those of a sweep over every
+// bin. A slot on the mask with a zero row count (a fractional-weight residue
+// of parent-minus-sibling subtraction) is summed but never a boundary, as
+// in that sweep.
+void ScanFeature(const TreeOptions& options, size_t num_k, size_t f,
+                 const BinnedColumn& col, const double* wsum,
+                 const uint32_t* cnt, const uint64_t* occupied,
+                 double parent_weight, ScanScratch* scratch,
+                 SplitCandidate* best) {
+  const size_t nb = col.num_bins;
+  const TreeCriterion impurity_criterion =
+      options.criterion == TreeCriterion::kGainRatio ? TreeCriterion::kEntropy
+                                                     : options.criterion;
+  double* left_counts = scratch->left.data();
+  double* right_counts = scratch->right.data();
+  double* total_counts = scratch->total.data();
+  const uint16_t* bins = scratch->bins.data();
+  const size_t num_occupied =
+      OccupiedBins(occupied, nb, scratch->bins.data());
+
+  // Present/missing totals straight from the bin slots (slot nb holds the
+  // missing rows).
+  size_t present_n = 0;
+  std::fill(total_counts, total_counts + num_k, 0.0);
+  for (size_t j = 0; j < num_occupied; ++j) {
+    const size_t b = bins[j];
+    present_n += cnt[b];
+    for (size_t k = 0; k < num_k; ++k) {
+      total_counts[k] += wsum[b * num_k + k];
+    }
+  }
+  if (present_n < 2 * options.min_leaf) return;
+  double present_weight = 0.0;
+  for (size_t k = 0; k < num_k; ++k) present_weight += total_counts[k];
+  if (present_weight <= 0) return;
+  double missing_weight = 0.0;
+  for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[nb * num_k + k];
+  const double known_fraction =
+      present_weight / (present_weight + missing_weight);
+  const double total_impurity =
+      Impurity(impurity_criterion, total_counts, num_k, present_weight);
+
+  if (!col.categorical) {
+    std::fill(left_counts, left_counts + num_k, 0.0);
+    double left_weight = 0.0;
+    size_t left_n = 0;
+    for (size_t j = 0; j < num_occupied; ++j) {
+      const size_t b = bins[j];
+      // The last bin's upper edge splits nothing off.
+      if (b + 1 >= nb) break;
+      for (size_t k = 0; k < num_k; ++k) {
+        const double c = wsum[b * num_k + k];
+        left_counts[k] += c;
+        left_weight += c;
+      }
+      left_n += cnt[b];
+      // A boundary whose bin holds no rows partitions the rows as the
+      // previous candidate did.
+      if (cnt[b] == 0) continue;
+      const size_t right_n = present_n - left_n;
+      if (left_n < options.min_leaf || right_n < options.min_leaf) continue;
+      const double right_weight = present_weight - left_weight;
+      for (size_t k = 0; k < num_k; ++k) {
+        right_counts[k] = total_counts[k] - left_counts[k];
+      }
+      const double child_impurity =
+          (left_weight * Impurity(impurity_criterion, left_counts, num_k,
+                                  left_weight) +
+           right_weight * Impurity(impurity_criterion, right_counts, num_k,
+                                   right_weight)) /
+          present_weight;
+      double gain = (total_impurity - child_impurity) * known_fraction;
+      if (gain <= 0) continue;
+      double score = gain;
+      if (options.criterion == TreeCriterion::kGainRatio) {
+        const double pl = left_weight / present_weight;
+        const double pr = right_weight / present_weight;
+        const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
+        if (split_info < 1e-9) continue;
+        score = gain / split_info;
+      }
+      if (score > best->score) {
+        best->valid = true;
+        best->feature = static_cast<int>(f);
+        best->categorical = false;
+        best->multiway = false;
+        best->threshold = col.thresholds[b];
+        best->bin = static_cast<int>(b);
+        best->score = score;
+        best->gain = gain * parent_weight;
+      }
+    }
+  } else if (options.multiway_categorical && nb >= 2) {
+    // One child per category (bin code == category code).
+    size_t populated = 0;
+    double child_impurity = 0.0;
+    double split_info = 0.0;
+    bool leaf_ok = true;
+    for (size_t j = 0; j < num_occupied; ++j) {
+      const size_t c = bins[j];
+      if (cnt[c] == 0) continue;
+      ++populated;
+      if (cnt[c] < options.min_leaf) leaf_ok = false;
+      double cw = 0.0;
+      for (size_t k = 0; k < num_k; ++k) {
+        left_counts[k] = wsum[c * num_k + k];
+        cw += left_counts[k];
+      }
+      child_impurity +=
+          cw * Impurity(impurity_criterion, left_counts, num_k, cw);
+      const double p = cw / present_weight;
+      if (p > 0) split_info -= p * std::log2(p);
+    }
+    child_impurity /= present_weight;
+    if (populated >= 2 && leaf_ok) {
+      double gain = (total_impurity - child_impurity) * known_fraction;
+      if (gain > 0) {
+        double score = gain;
+        if (options.criterion == TreeCriterion::kGainRatio) {
+          if (split_info >= 1e-9) {
+            score = gain / split_info;
+          } else {
+            score = -std::numeric_limits<double>::infinity();
+          }
+        }
+        if (score > best->score) {
+          best->valid = true;
+          best->feature = static_cast<int>(f);
+          best->categorical = true;
+          best->multiway = true;
+          best->score = score;
+          best->gain = gain * parent_weight;
+        }
+      }
+    }
+  } else {
+    // Binary one-vs-rest categorical splits. A category no row holds fails
+    // the min_leaf >= 1 gate, so only occupied ones are tried.
+    for (size_t j = 0; j < num_occupied; ++j) {
+      const size_t c = bins[j];
+      const size_t left_n = cnt[c];
+      const size_t right_n = present_n - left_n;
+      if (left_n < options.min_leaf || right_n < options.min_leaf) continue;
+      double left_weight = 0.0;
+      for (size_t k = 0; k < num_k; ++k) {
+        left_counts[k] = wsum[c * num_k + k];
+        left_weight += left_counts[k];
+        right_counts[k] = total_counts[k] - left_counts[k];
+      }
+      const double right_weight = present_weight - left_weight;
+      const double child_impurity =
+          (left_weight * Impurity(impurity_criterion, left_counts, num_k,
+                                  left_weight) +
+           right_weight * Impurity(impurity_criterion, right_counts, num_k,
+                                   right_weight)) /
+          present_weight;
+      double gain = (total_impurity - child_impurity) * known_fraction;
+      if (gain <= 0) continue;
+      double score = gain;
+      if (options.criterion == TreeCriterion::kGainRatio) {
+        const double pl = left_weight / present_weight;
+        const double pr = right_weight / present_weight;
+        const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
+        if (split_info < 1e-9) continue;
+        score = gain / split_info;
+      }
+      if (score > best->score) {
+        best->valid = true;
+        best->feature = static_cast<int>(f);
+        best->categorical = true;
+        best->multiway = false;
+        best->category = static_cast<int>(c);
+        best->score = score;
+        best->gain = gain * parent_weight;
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -90,60 +357,172 @@ std::string TreeCondition::ToString(const Dataset& schema_source) const {
   return "?";
 }
 
-// Per-tree layout of the flat histogram buffers: feature f's class-weight
-// sums occupy wsum[off_w[f] .. off_w[f] + (num_bins + 1) * K) and its row
-// counts cnt[off_n[f] .. off_n[f] + num_bins + 1), where slot num_bins is
-// the missing bin. One layout serves every node of a tree, so subtraction
-// and accumulation are plain flat-array loops.
-struct DecisionTree::HistLayout {
+// Per-Fit workspace of histogram growth. A node's rows are the span
+// rows[begin, end); splitting a node partitions its span in place, stably
+// (through `stage`), into its children's spans. Histogram buffers are all
+// zero whenever no node holds them: whoever is done with one zeroes just the
+// slots its occupancy masks list, so no node pays for bins its rows never
+// touched. Nothing here is allocated per node once the first few nodes have
+// sized the buffers.
+struct DecisionTree::GrowState {
+  // Feature f's slots of an all-feature histogram: class-weight sums at
+  // wsum[off_w[f] .. off_w[f] + (num_bins + 1) * K), row counts at
+  // cnt[off_n[f] .. off_n[f] + num_bins + 1) (slot num_bins is the missing
+  // bin) and its mask at occ[f * kBinMaskWords ..].
+  using Hist = BinHistogram;
+
+  GrowState(const BinnedColumns& binned_view, const std::vector<int>& labels,
+            const std::vector<double>& weights, size_t classes,
+            std::vector<size_t> train_rows)
+      : binned(binned_view),
+        y(labels.data()),
+        w(weights.data()),
+        num_k(classes),
+        rows(std::move(train_rows)) {
+    const size_t d = binned.num_features();
+    off_w.reserve(d);
+    off_n.reserve(d);
+    size_t max_slots = 0;
+    for (size_t f = 0; f < d; ++f) {
+      const size_t slots = binned.column(f).num_bins + size_t{1};
+      off_w.push_back(total_w);
+      off_n.push_back(total_n);
+      total_w += slots * num_k;
+      total_n += slots;
+      max_slots = std::max(max_slots, slots);
+    }
+    stage.resize(rows.size());
+    features.resize(d);
+    one.wsum.assign(max_slots * num_k, 0.0);
+    one.cnt.assign(max_slots, 0);
+    one.occ.assign(kBinMaskWords, 0);
+    scan.left.resize(num_k);
+    scan.right.resize(num_k);
+    scan.total.resize(num_k);
+    scan.bins.resize(kBinMaskSlots);
+    if (hist_cache.total_w == total_w && hist_cache.total_n == total_n &&
+        hist_cache.occ_words == d * kBinMaskWords) {
+      hists = std::move(hist_cache.hists);
+      for (size_t h = 0; h < hists.size(); ++h) {
+        free_hists.push_back(static_cast<int>(h));
+      }
+    }
+    hist_cache.hists.clear();
+  }
+
+  /// Hands the histograms to this thread's cache when every one is back in
+  /// the pool (and so zero) and they fit under the cap.
+  ~GrowState() {
+    const size_t bytes =
+        hists.size() * (total_w * sizeof(double) + total_n * sizeof(uint32_t));
+    if (free_hists.size() != hists.size() || bytes > kMaxCachedHistBytes) {
+      return;
+    }
+    hist_cache.total_w = total_w;
+    hist_cache.total_n = total_n;
+    hist_cache.occ_words = off_w.size() * kBinMaskWords;
+    hist_cache.hists = std::move(hists);
+  }
+
+  GrowState(const GrowState&) = delete;
+  GrowState& operator=(const GrowState&) = delete;
+
+  /// A zeroed all-feature histogram from the pool.
+  int Acquire() {
+    if (!free_hists.empty()) {
+      const int h = free_hists.back();
+      free_hists.pop_back();
+      return h;
+    }
+    Hist hist;
+    hist.wsum.assign(total_w, 0.0);
+    hist.cnt.assign(total_n, 0);
+    hist.occ.assign(off_w.size() * kBinMaskWords, 0);
+    hists.push_back(std::move(hist));
+    return static_cast<int>(hists.size()) - 1;
+  }
+
+  /// Zeroes histogram `h` and returns it to the pool (no-op for -1).
+  void Release(int h) {
+    if (h < 0) return;
+    Hist& hist = hists[static_cast<size_t>(h)];
+    for (size_t f = 0; f < off_w.size(); ++f) {
+      ClearOccupied(hist.wsum.data() + off_w[f], hist.cnt.data() + off_n[f],
+                    hist.occ.data() + f * kBinMaskWords,
+                    binned.column(f).num_bins + size_t{1}, num_k);
+    }
+    free_hists.push_back(h);
+  }
+
+  /// Adds rows[begin, end) into every feature of histogram `h`.
+  void Accumulate(int h, size_t begin, size_t end) {
+    Hist& hist = hists[static_cast<size_t>(h)];
+    for (size_t f = 0; f < off_w.size(); ++f) {
+      const BinnedColumn& col = binned.column(f);
+      AccumulateBinHistogram(col.codes.data(), rows.data() + begin,
+                             end - begin, y, w, num_k, col.num_bins,
+                             hist.wsum.data() + off_w[f],
+                             hist.cnt.data() + off_n[f],
+                             hist.occ.data() + f * kBinMaskWords);
+    }
+  }
+
+  /// hists[to] -= hists[from], where `from` holds a subset of `to`'s rows:
+  /// turns a parent histogram into the larger child's once the smaller
+  /// child has been accumulated. Only the slots the smaller child occupies
+  /// change; one left with no rows and all-zero sums drops off the mask.
+  void Subtract(int to, int from) {
+    Hist& big = hists[static_cast<size_t>(to)];
+    const Hist& small = hists[static_cast<size_t>(from)];
+    for (size_t f = 0; f < off_w.size(); ++f) {
+      double* bw = big.wsum.data() + off_w[f];
+      uint32_t* bc = big.cnt.data() + off_n[f];
+      uint64_t* bo = big.occ.data() + f * kBinMaskWords;
+      const double* sw = small.wsum.data() + off_w[f];
+      const uint32_t* sc = small.cnt.data() + off_n[f];
+      const uint64_t* so = small.occ.data() + f * kBinMaskWords;
+      for (size_t i = 0; i < kBinMaskWords; ++i) {
+        for (uint64_t bits = so[i]; bits != 0; bits &= bits - 1) {
+          const int bit = std::countr_zero(bits);
+          const size_t b = i * 64 + static_cast<size_t>(bit);
+          double* slot = bw + b * num_k;
+          const double* sub = sw + b * num_k;
+          for (size_t k = 0; k < num_k; ++k) slot[k] -= sub[k];
+          bc[b] -= sc[b];
+          if (bc[b] != 0) continue;
+          bool zero = true;
+          for (size_t k = 0; k < num_k; ++k) zero &= slot[k] == 0.0;
+          if (zero) {
+            std::fill(slot, slot + num_k, 0.0);
+            bo[i] &= ~(uint64_t{1} << bit);
+          }
+        }
+      }
+    }
+  }
+
+  const BinnedColumns& binned;
+  const int* y;
+  const double* w;
+  size_t num_k;
   std::vector<size_t> off_w;
   std::vector<size_t> off_n;
   size_t total_w = 0;
   size_t total_n = 0;
 
-  static HistLayout For(const BinnedColumns& binned, size_t num_classes) {
-    HistLayout layout;
-    layout.off_w.reserve(binned.num_features());
-    layout.off_n.reserve(binned.num_features());
-    for (size_t f = 0; f < binned.num_features(); ++f) {
-      const size_t slots = binned.column(f).num_bins + size_t{1};
-      layout.off_w.push_back(layout.total_w);
-      layout.off_n.push_back(layout.total_n);
-      layout.total_w += slots * num_classes;
-      layout.total_n += slots;
-    }
-    return layout;
-  }
-};
-
-// One node's bin histograms over all features. `valid` marks a hist handed
-// down by the parent (via the parent-minus-sibling trick) as ready to use.
-struct DecisionTree::NodeHist {
-  std::vector<double> wsum;
-  std::vector<uint32_t> cnt;
-  bool valid = false;
-
-  void AccumulateAll(const BinnedColumns& binned, const HistLayout& layout,
-                     const std::vector<size_t>& rows, const std::vector<int>& y,
-                     const std::vector<double>& w, size_t num_classes) {
-    wsum.assign(layout.total_w, 0.0);
-    cnt.assign(layout.total_n, 0);
-    for (size_t f = 0; f < binned.num_features(); ++f) {
-      const BinnedColumn& col = binned.column(f);
-      AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
-                             y.data(), w.data(), num_classes, col.num_bins,
-                             wsum.data() + layout.off_w[f],
-                             cnt.data() + layout.off_n[f]);
-    }
-    valid = true;
-  }
-
-  /// this -= other, elementwise. Turns a parent histogram into the larger
-  /// sibling's histogram once the smaller sibling has been accumulated.
-  void SubtractInPlace(const NodeHist& other) {
-    for (size_t i = 0; i < wsum.size(); ++i) wsum[i] -= other.wsum[i];
-    for (size_t i = 0; i < cnt.size(); ++i) cnt[i] -= other.cnt[i];
-  }
+  std::vector<size_t> rows;
+  std::vector<size_t> stage;
+  std::vector<size_t> features;
+  /// Child span bounds of the nodes on the current root-to-node path,
+  /// used as a stack: a node pushes its children's k + 1 bounds.
+  std::vector<size_t> bounds;
+  /// Per-category write cursors of a multiway partition.
+  std::vector<size_t> cursor;
+  /// One feature's histogram at a time, for mtry nodes.
+  Hist one;
+  std::vector<Hist> hists;
+  std::vector<int> free_hists;
+  ScanScratch scan;
 };
 
 Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
@@ -163,6 +542,9 @@ Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
   nodes_.clear();
   schema_ = schema;
   options_ = options;
+  // A child must hold a row. (A zero min_leaf would only admit one-vs-rest
+  // splits on a category no row holds, which partition nothing.)
+  options_.min_leaf = std::max<size_t>(options_.min_leaf, 1);
   num_classes_ = num_classes;
 
   std::vector<double> w = weights;
@@ -199,8 +581,9 @@ Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
   }
 
   if (histogram) {
-    const HistLayout layout = HistLayout::For(*binned, size_t(num_classes_));
-    BuildNodeHist(*binned, layout, y, w, rows, 0, &rng, nullptr);
+    GrowState state(*binned, y, w, static_cast<size_t>(num_classes_),
+                    std::move(rows));
+    BuildNodeHist(&state, 0, state.rows.size(), 0, &rng, -1);
   } else {
     BuildNode(x, y, w, rows, 0, &rng);
   }
@@ -546,27 +929,28 @@ int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
 // Histogram-mode growth. Mirrors BuildNode's structure (stopping rules,
 // gates, missing-value routing) but searches bin boundaries of the shared
 // binned view instead of re-sorting rows: each candidate's class counts come
-// from a prefix scan over per-bin histograms, so a node costs
-// O(rows + bins * classes) per feature instead of O(rows log rows). With
-// lossless binning and integral weights the candidate set and row partition
-// are identical to exact mode; thresholds come from the global bin edges, so
-// held-out rows falling between two training values may route differently
-// (both routings are consistent with the training data).
-int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
-                                const HistLayout& layout,
-                                const std::vector<int>& y,
-                                const std::vector<double>& w,
-                                const std::vector<size_t>& rows, int depth,
-                                Rng* rng, NodeHist* inherited) {
+// from a prefix scan over per-bin histograms. Per feature a node costs
+// O(rows + occupied bins * classes): accumulation records which bins the
+// node's rows touch, the scan visits only those, and only those are zeroed
+// afterwards, so the deep, small nodes of a fully grown forest do not pay
+// for the ~255 bins a column has. With lossless binning and integral
+// weights the candidate set and row partition are identical to exact mode;
+// thresholds come from the global bin edges, so held-out rows falling
+// between two training values may route differently (both routings are
+// consistent with the training data).
+int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
+                                int depth, Rng* rng, int hist) {
+  const size_t num_k = s->num_k;
   const int index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   {
     Node& node = nodes_.back();
     node.depth = depth;
-    node.class_counts.assign(static_cast<size_t>(num_classes_), 0.0);
-    for (size_t r : rows) {
-      node.class_counts[static_cast<size_t>(y[r])] += w[r];
-      node.weight += w[r];
+    node.class_counts.assign(num_k, 0.0);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = s->rows[i];
+      node.class_counts[static_cast<size_t>(s->y[r])] += s->w[r];
+      node.weight += s->w[r];
     }
     node.majority = ArgMaxCount(node.class_counts);
   }
@@ -577,8 +961,9 @@ int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
            node.weight - 1e-12;
   };
 
-  if (depth >= options_.max_depth || rows.size() < options_.min_split ||
+  if (depth >= options_.max_depth || end - begin < options_.min_split ||
       is_pure()) {
+    s->Release(hist);
     return index;
   }
 
@@ -588,273 +973,165 @@ int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
                    ? TreeCriterion::kEntropy
                    : options_.criterion,
                nodes_[static_cast<size_t>(index)].class_counts, parent_weight);
-  if (parent_impurity <= 1e-12) return index;
+  if (parent_impurity <= 1e-12) {
+    s->Release(hist);
+    return index;
+  }
 
-  const size_t d = binned.num_features();
-  const size_t num_k = static_cast<size_t>(num_classes_);
-  std::vector<size_t> features(d);
-  std::iota(features.begin(), features.end(), size_t{0});
+  const size_t d = s->binned.num_features();
+  std::iota(s->features.begin(), s->features.end(), size_t{0});
+  size_t num_tried = d;
   if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
-    rng->Shuffle(&features);
-    features.resize(static_cast<size_t>(options_.mtry));
+    rng->Shuffle(&s->features);
+    num_tried = static_cast<size_t>(options_.mtry);
   }
 
   // Full-feature nodes keep one histogram spanning all features so a binary
   // split can hand the larger child `parent - smaller sibling` instead of
   // rescanning its rows; mtry nodes sample different features at every node,
-  // so they accumulate just the sampled columns into scratch and retain
-  // nothing.
-  const bool full_features = features.size() == d;
-  NodeHist own;
-  if (full_features) {
-    if (inherited && inherited->valid) {
-      own = std::move(*inherited);
-      inherited->valid = false;
-    } else {
-      own.AccumulateAll(binned, layout, rows, y, w, num_k);
-    }
+  // so they accumulate one sampled column at a time and retain nothing.
+  const bool full_features = num_tried == d;
+  if (full_features && hist < 0) {
+    hist = s->Acquire();
+    s->Accumulate(hist, begin, end);
   }
-  std::vector<double> scratch_w;
-  std::vector<uint32_t> scratch_n;
 
   SplitCandidate best;
-  std::vector<double> left_counts(num_k);
-  std::vector<double> right_counts(num_k);
-  std::vector<double> total_counts(num_k);
-
-  const TreeCriterion impurity_criterion =
-      options_.criterion == TreeCriterion::kGainRatio ? TreeCriterion::kEntropy
-                                                      : options_.criterion;
-
-  for (size_t f : features) {
-    const BinnedColumn& col = binned.column(f);
-    const size_t nb = col.num_bins;
-    if (nb == 0) continue;
-    const double* wsum;
-    const uint32_t* cnt;
+  for (size_t i = 0; i < num_tried; ++i) {
+    const size_t f = s->features[i];
+    const BinnedColumn& col = s->binned.column(f);
+    if (col.num_bins == 0) continue;
     if (full_features) {
-      wsum = own.wsum.data() + layout.off_w[f];
-      cnt = own.cnt.data() + layout.off_n[f];
+      const GrowState::Hist& h = s->hists[static_cast<size_t>(hist)];
+      ScanFeature(options_, num_k, f, col, h.wsum.data() + s->off_w[f],
+                  h.cnt.data() + s->off_n[f],
+                  h.occ.data() + f * kBinMaskWords, parent_weight, &s->scan,
+                  &best);
     } else {
-      scratch_w.assign((nb + 1) * num_k, 0.0);
-      scratch_n.assign(nb + 1, 0);
-      AccumulateBinHistogram(col.codes.data(), rows.data(), rows.size(),
-                             y.data(), w.data(), num_k, nb, scratch_w.data(),
-                             scratch_n.data());
-      wsum = scratch_w.data();
-      cnt = scratch_n.data();
-    }
-
-    // Present/missing totals straight from the bin slots (slot nb holds the
-    // missing rows).
-    size_t present_n = 0;
-    std::fill(total_counts.begin(), total_counts.end(), 0.0);
-    for (size_t b = 0; b < nb; ++b) {
-      present_n += cnt[b];
-      for (size_t k = 0; k < num_k; ++k) {
-        total_counts[k] += wsum[b * num_k + k];
-      }
-    }
-    if (present_n < 2 * options_.min_leaf) continue;
-    double present_weight = 0.0;
-    for (size_t k = 0; k < num_k; ++k) present_weight += total_counts[k];
-    if (present_weight <= 0) continue;
-    double missing_weight = 0.0;
-    for (size_t k = 0; k < num_k; ++k) missing_weight += wsum[nb * num_k + k];
-    const double known_fraction =
-        present_weight / (present_weight + missing_weight);
-    const double total_impurity =
-        Impurity(impurity_criterion, total_counts, present_weight);
-
-    if (!col.categorical) {
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      double left_weight = 0.0;
-      size_t left_n = 0;
-      for (size_t b = 0; b + 1 < nb; ++b) {
-        for (size_t k = 0; k < num_k; ++k) {
-          const double c = wsum[b * num_k + k];
-          left_counts[k] += c;
-          left_weight += c;
-        }
-        left_n += cnt[b];
-        // An empty bin leaves the partition identical to the previous
-        // boundary's, so only the first boundary of each run is a candidate.
-        if (cnt[b] == 0) continue;
-        const size_t right_n = present_n - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        const double right_weight = present_weight - left_weight;
-        for (size_t k = 0; k < num_k; ++k) {
-          right_counts[k] = total_counts[k] - left_counts[k];
-        }
-        const double child_impurity =
-            (left_weight *
-                 Impurity(impurity_criterion, left_counts, left_weight) +
-             right_weight *
-                 Impurity(impurity_criterion, right_counts, right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = false;
-          best.multiway = false;
-          best.threshold = col.thresholds[b];
-          best.bin = static_cast<int>(b);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
-    } else if (options_.multiway_categorical && nb >= 2) {
-      // One child per category (bin code == category code).
-      size_t populated = 0;
-      double child_impurity = 0.0;
-      double split_info = 0.0;
-      bool leaf_ok = true;
-      for (size_t c = 0; c < nb; ++c) {
-        if (cnt[c] == 0) continue;
-        ++populated;
-        if (cnt[c] < options_.min_leaf) leaf_ok = false;
-        double cw = 0.0;
-        for (size_t k = 0; k < num_k; ++k) {
-          left_counts[k] = wsum[c * num_k + k];
-          cw += left_counts[k];
-        }
-        child_impurity +=
-            cw * Impurity(impurity_criterion, left_counts, cw);
-        const double p = cw / present_weight;
-        if (p > 0) split_info -= p * std::log2(p);
-      }
-      child_impurity /= present_weight;
-      if (populated >= 2 && leaf_ok) {
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain > 0) {
-          double score = gain;
-          if (options_.criterion == TreeCriterion::kGainRatio) {
-            if (split_info >= 1e-9) {
-              score = gain / split_info;
-            } else {
-              score = -std::numeric_limits<double>::infinity();
-            }
-          }
-          if (score > best.score) {
-            best.valid = true;
-            best.feature = static_cast<int>(f);
-            best.categorical = true;
-            best.multiway = true;
-            best.score = score;
-            best.gain = gain * parent_weight;
-          }
-        }
-      }
-    } else {
-      // Binary one-vs-rest categorical splits.
-      for (size_t c = 0; c < nb; ++c) {
-        const size_t left_n = cnt[c];
-        const size_t right_n = present_n - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        double left_weight = 0.0;
-        for (size_t k = 0; k < num_k; ++k) {
-          left_counts[k] = wsum[c * num_k + k];
-          left_weight += left_counts[k];
-          right_counts[k] = total_counts[k] - left_counts[k];
-        }
-        const double right_weight = present_weight - left_weight;
-        const double child_impurity =
-            (left_weight *
-                 Impurity(impurity_criterion, left_counts, left_weight) +
-             right_weight *
-                 Impurity(impurity_criterion, right_counts, right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = true;
-          best.multiway = false;
-          best.category = static_cast<int>(c);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
+      GrowState::Hist& one = s->one;
+      AccumulateBinHistogram(col.codes.data(), s->rows.data() + begin,
+                             end - begin, s->y, s->w, num_k, col.num_bins,
+                             one.wsum.data(), one.cnt.data(), one.occ.data());
+      ScanFeature(options_, num_k, f, col, one.wsum.data(), one.cnt.data(),
+                  one.occ.data(), parent_weight, &s->scan, &best);
+      ClearOccupied(one.wsum.data(), one.cnt.data(), one.occ.data(),
+                    col.num_bins + size_t{1}, num_k);
     }
   }
 
-  if (!best.valid) return index;
-  if (best.gain <
-      options_.min_impurity_decrease * parent_weight * parent_impurity +
-          1e-15) {
+  if (!best.valid ||
+      best.gain <
+          options_.min_impurity_decrease * parent_weight * parent_impurity +
+              1e-15) {
+    s->Release(hist);
     return index;
   }
 
-  // Partition rows by bin code (codes and raw values induce the same
+  // Partition the span by bin code (codes and raw values induce the same
   // partition: every value in bins <= b is <= thresholds[b] by
-  // construction). Codes at or past num_bins are the missing bin.
+  // construction). Codes at or past num_bins are the missing bin. Each child
+  // keeps its rows in span order and missing rows follow the most populated
+  // child's, which keeps per-node sums in exact mode's order. The children's
+  // k + 1 span bounds go on the bounds stack.
   const auto f = static_cast<size_t>(best.feature);
-  const BinnedColumn& split_col = binned.column(f);
-  const uint8_t* codes = split_col.codes.data();
-  std::vector<std::vector<size_t>> parts;
+  const uint8_t* codes = s->binned.column(f).codes.data();
+  const size_t nb = s->binned.column(f).num_bins;
+  size_t* rows = s->rows.data();
+  const size_t base = s->bounds.size();
+  size_t num_children;
   if (best.multiway) {
-    const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-    parts.assign(k_cats, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const size_t code = codes[r];
-      if (code >= split_col.num_bins) {
-        missing.push_back(r);
+    const size_t* stage = s->stage.data();
+    std::copy(rows + begin, rows + end, s->stage.data() + begin);
+    num_children = std::max<size_t>(schema_.cardinalities[f], 1);
+    std::vector<size_t>& cursor = s->cursor;
+    cursor.assign(num_children, 0);
+    size_t missing = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const size_t code = codes[stage[i]];
+      if (code >= nb) {
+        ++missing;
       } else {
-        parts[code].push_back(r);
+        ++cursor[code];
       }
     }
     size_t heaviest = 0;
-    for (size_t c = 1; c < parts.size(); ++c) {
-      if (parts[c].size() > parts[heaviest].size()) heaviest = c;
+    for (size_t c = 1; c < num_children; ++c) {
+      if (cursor[c] > cursor[heaviest]) heaviest = c;
     }
-    for (size_t r : missing) parts[heaviest].push_back(r);
-  } else {
-    parts.assign(2, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const size_t code = codes[r];
-      if (code >= split_col.num_bins) {
-        missing.push_back(r);
-        continue;
+    size_t missing_at = 0;
+    size_t at = begin;
+    for (size_t c = 0; c < num_children; ++c) {
+      s->bounds.push_back(at);
+      const size_t count = cursor[c];
+      cursor[c] = at;
+      at += count;
+      if (c == heaviest) {
+        missing_at = at;
+        at += missing;
       }
-      const bool left = best.categorical
-                            ? static_cast<int>(code) == best.category
-                            : static_cast<int>(code) <= best.bin;
-      parts[left ? 0 : 1].push_back(r);
     }
-    const size_t heavier = parts[0].size() >= parts[1].size() ? 0 : 1;
-    for (size_t r : missing) parts[heavier].push_back(r);
+    s->bounds.push_back(at);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = stage[i];
+      const size_t code = codes[r];
+      rows[code >= nb ? missing_at++ : cursor[code]++] = r;
+    }
+  } else {
+    num_children = 2;
+    // Branch-free: which side a row takes is data, so branching on it
+    // would mispredict on every other row.
+    const bool categorical = best.categorical;
+    const auto category = static_cast<size_t>(std::max(best.category, 0));
+    const auto bin = static_cast<size_t>(std::max(best.bin, 0));
+    auto goes_left = [&](size_t code) {
+      return categorical ? code == category : code <= bin;
+    };
+    // One pass: left rows move down in place (the write cursor never passes
+    // the read cursor), right rows queue up in the stage from `begin`,
+    // missing rows from the back of the span, in reverse.
+    size_t num_left = 0;
+    size_t num_right = 0;
+    size_t num_missing = 0;
+    size_t* stage = s->stage.data();
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = rows[i];
+      const size_t code = codes[r];
+      const bool missing = code >= nb;
+      const bool left = !missing & goes_left(code);
+      const bool right = !missing & !left;
+      rows[begin + num_left] = r;
+      stage[missing ? end - 1 - num_missing : begin + num_right] = r;
+      num_left += left;
+      num_right += right;
+      num_missing += missing;
+    }
+    // Missing rows follow the more populated side, as in exact mode.
+    const bool missing_left = num_left >= num_right;
+    size_t at = begin + num_left;
+    if (missing_left) {
+      for (size_t m = 0; m < num_missing; ++m) rows[at++] = stage[end - 1 - m];
+    }
+    const size_t right_begin = at;
+    std::copy(stage + begin, stage + begin + num_right, rows + at);
+    at += num_right;
+    if (!missing_left) {
+      for (size_t m = 0; m < num_missing; ++m) rows[at++] = stage[end - 1 - m];
+    }
+    s->bounds.push_back(begin);
+    s->bounds.push_back(right_begin);
+    s->bounds.push_back(end);
   }
 
+  // Degenerate partitions can occur after missing-value routing.
   size_t populated = 0;
-  for (const auto& p : parts) {
-    if (!p.empty()) ++populated;
+  for (size_t c = 0; c < num_children; ++c) {
+    if (s->bounds[base + c + 1] > s->bounds[base + c]) ++populated;
   }
-  if (populated < 2) return index;
+  if (populated < 2) {
+    s->bounds.resize(base);
+    s->Release(hist);
+    return index;
+  }
 
   {
     Node& node = nodes_[static_cast<size_t>(index)];
@@ -866,28 +1143,32 @@ int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
     node.split_gain = best.gain;
   }
 
-  // Parent-minus-sibling: scan only the smaller child, derive the larger
-  // one by subtracting in place. Multiway children (and mtry nodes, which
-  // have no full parent hist) recompute from their rows.
-  NodeHist child_hist[2];
-  bool have_child_hist = false;
+  // Parent-minus-sibling: accumulate only the smaller child, derive the
+  // larger one by subtracting in place. Multiway children (and mtry nodes,
+  // which have no full parent hist) recompute from their rows.
+  int child_hist[2] = {-1, -1};
   if (full_features && !best.multiway) {
-    const size_t small = parts[0].size() <= parts[1].size() ? 0 : 1;
-    child_hist[small].AccumulateAll(binned, layout, parts[small], y, w, num_k);
-    own.SubtractInPlace(child_hist[small]);
-    child_hist[1 - small] = std::move(own);
-    child_hist[1 - small].valid = true;
-    have_child_hist = true;
+    const size_t mid = s->bounds[base + 1];
+    const size_t small = mid - begin <= end - mid ? 0 : 1;
+    const int h = s->Acquire();
+    s->Accumulate(h, small == 0 ? begin : mid, small == 0 ? mid : end);
+    s->Subtract(hist, h);
+    child_hist[small] = h;
+    child_hist[1 - small] = hist;
+  } else {
+    s->Release(hist);
   }
-  own = NodeHist{};
 
   std::vector<int> children;
-  children.reserve(parts.size());
+  children.reserve(num_children);
   int majority_child = 0;
   double heaviest_weight = -1.0;
-  for (size_t c = 0; c < parts.size(); ++c) {
+  for (size_t c = 0; c < num_children; ++c) {
+    const size_t child_begin = s->bounds[base + c];
+    const size_t child_end = s->bounds[base + c + 1];
     int child;
-    if (parts[c].empty()) {
+    if (child_begin == child_end) {
+      // Empty multiway branch: a leaf that inherits the parent distribution.
       child = static_cast<int>(nodes_.size());
       nodes_.emplace_back();
       Node& leaf_node = nodes_.back();
@@ -896,8 +1177,8 @@ int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
       leaf_node.weight = 0.0;
       leaf_node.majority = nodes_[static_cast<size_t>(index)].majority;
     } else {
-      child = BuildNodeHist(binned, layout, y, w, parts[c], depth + 1, rng,
-                            have_child_hist ? &child_hist[c] : nullptr);
+      child = BuildNodeHist(s, child_begin, child_end, depth + 1, rng,
+                            best.multiway ? -1 : child_hist[c]);
     }
     children.push_back(child);
     const double cw = nodes_[static_cast<size_t>(child)].weight;
@@ -906,6 +1187,7 @@ int DecisionTree::BuildNodeHist(const BinnedColumns& binned,
       majority_child = static_cast<int>(c);
     }
   }
+  s->bounds.resize(base);
   Node& node = nodes_[static_cast<size_t>(index)];
   node.children = std::move(children);
   node.majority_child = majority_child;
@@ -951,10 +1233,7 @@ void DecisionTree::Prune(int node_index) {
   }
 }
 
-std::vector<double> DecisionTree::PredictProbaRow(const double* row) const {
-  std::vector<double> proba(static_cast<size_t>(num_classes_),
-                            1.0 / std::max(1, num_classes_));
-  if (nodes_.empty()) return proba;
+size_t DecisionTree::LeafFor(const double* row) const {
   size_t index = 0;
   while (!nodes_[index].leaf) {
     const Node& node = nodes_[index];
@@ -976,64 +1255,39 @@ std::vector<double> DecisionTree::PredictProbaRow(const double* row) const {
     }
     index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
   }
-  // Laplace-smoothed leaf frequencies.
-  const Node& leaf = nodes_[index];
-  double total = leaf.weight + num_classes_;
-  for (int k = 0; k < num_classes_; ++k) {
-    proba[static_cast<size_t>(k)] =
-        (leaf.class_counts[static_cast<size_t>(k)] + 1.0) / total;
+  return index;
+}
+
+void DecisionTree::AddProbaRow(const double* row, double scale,
+                               double* out) const {
+  if (nodes_.empty()) {
+    const double uniform = 1.0 / std::max(1, num_classes_);
+    for (int k = 0; k < num_classes_; ++k) out[k] += scale * uniform;
+    return;
   }
+  // Laplace-smoothed leaf frequencies.
+  const Node& leaf = nodes_[LeafFor(row)];
+  const double total = leaf.weight + num_classes_;
+  for (int k = 0; k < num_classes_; ++k) {
+    out[k] +=
+        scale * ((leaf.class_counts[static_cast<size_t>(k)] + 1.0) / total);
+  }
+}
+
+std::vector<double> DecisionTree::PredictProbaRow(const double* row) const {
+  std::vector<double> proba(static_cast<size_t>(num_classes_), 0.0);
+  AddProbaRow(row, 1.0, proba.data());
   return proba;
 }
 
 int DecisionTree::PredictRow(const double* row) const {
   if (nodes_.empty()) return 0;
-  size_t index = 0;
-  while (!nodes_[index].leaf) {
-    const Node& node = nodes_[index];
-    const double v = row[node.feature];
-    int branch;
-    if (IsMissing(v)) {
-      branch = node.majority_child;
-    } else if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        const auto code = static_cast<size_t>(v);
-        branch = code < node.children.size() ? static_cast<int>(code)
-                                             : node.majority_child;
-      } else {
-        branch = static_cast<int>(v) == node.category ? 0 : 1;
-      }
-    } else {
-      branch = v <= node.threshold ? 0 : 1;
-    }
-    index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
-  }
-  return nodes_[index].majority;
+  return nodes_[LeafFor(row)].majority;
 }
 
 int DecisionTree::LeafIndexForRow(const double* row) const {
   if (nodes_.empty()) return -1;
-  size_t index = 0;
-  while (!nodes_[index].leaf) {
-    const Node& node = nodes_[index];
-    const double v = row[node.feature];
-    int branch;
-    if (IsMissing(v)) {
-      branch = node.majority_child;
-    } else if (node.categorical_split) {
-      if (node.children.size() > 2 || node.category < 0) {
-        const auto code = static_cast<size_t>(v);
-        branch = code < node.children.size() ? static_cast<int>(code)
-                                             : node.majority_child;
-      } else {
-        branch = static_cast<int>(v) == node.category ? 0 : 1;
-      }
-    } else {
-      branch = v <= node.threshold ? 0 : 1;
-    }
-    index = static_cast<size_t>(node.children[static_cast<size_t>(branch)]);
-  }
-  return static_cast<int>(index);
+  return static_cast<int>(LeafFor(row));
 }
 
 size_t DecisionTree::NumLeaves() const {

@@ -92,6 +92,12 @@ class DecisionTree {
   /// leaf frequencies).
   std::vector<double> PredictProbaRow(const double* row) const;
 
+  /// Adds `scale` times PredictProbaRow(row) into out[0 .. num_classes())
+  /// without allocating: out[k] += scale * p[k], with p[k] computed exactly
+  /// as PredictProbaRow computes it. Ensembles sum their trees' votes
+  /// straight into the output row this way (scale 1 leaves p unchanged).
+  void AddProbaRow(const double* row, double scale, double* out) const;
+
   int PredictRow(const double* row) const;
 
   /// Index of the leaf a row lands in (for LMT leaf models).
@@ -133,19 +139,22 @@ class DecisionTree {
     double split_gain = 0.0;     // Weighted impurity decrease of the split.
   };
 
-  // Histogram-growth scratch (defined in the .cc): per-node bin histograms
-  // laid out per HistLayout, reused via the parent-minus-sibling trick.
-  struct HistLayout;
-  struct NodeHist;
+  // Per-Fit histogram-growth workspace (defined in the .cc): the node row
+  // spans, pooled bin histograms and scan scratch every node reuses.
+  struct GrowState;
 
   static int ArgMaxCount(const std::vector<double>& counts);
   int BuildNode(const Matrix& x, const std::vector<int>& y,
                 const std::vector<double>& w,
                 const std::vector<size_t>& rows, int depth, Rng* rng);
-  int BuildNodeHist(const BinnedColumns& binned, const HistLayout& layout,
-                    const std::vector<int>& y, const std::vector<double>& w,
-                    const std::vector<size_t>& rows, int depth, Rng* rng,
-                    NodeHist* inherited);
+  /// Grows the node over rows[begin, end) of the workspace. `hist` is the
+  /// pooled all-feature histogram of exactly those rows handed down by the
+  /// parent, or -1; the node returns it to the pool.
+  int BuildNodeHist(GrowState* state, size_t begin, size_t end, int depth,
+                    Rng* rng, int hist);
+  /// Index of the leaf `row` reaches: the one root-to-leaf walk behind
+  /// every prediction entry point. Requires a fitted tree.
+  size_t LeafFor(const double* row) const;
   void Prune(int node_index);
   double SubtreeError(int node_index) const;
   double LeafErrorUpperBound(const Node& node) const;

@@ -46,10 +46,7 @@ StatusOr<std::vector<std::vector<double>>> ForestPredict(
         for (size_t r = begin; r < end; ++r) {
           const double* row = x.RowPtr(r);
           for (const auto& tree : trees) {
-            const std::vector<double> p = tree.PredictProbaRow(row);
-            for (int k = 0; k < num_classes; ++k) {
-              out[r][static_cast<size_t>(k)] += p[static_cast<size_t>(k)];
-            }
+            tree.AddProbaRow(row, 1.0, out[r].data());
           }
           NormalizeProba(&out[r]);
         }

@@ -24,6 +24,7 @@ class RandomForestClassifier : public Classifier {
   }
 
   size_t NumTrees() const { return trees_.size(); }
+  const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// Mean impurity-decrease importances across trees.
   std::vector<double> FeatureImportances() const;
@@ -50,6 +51,7 @@ class BaggingClassifier : public Classifier {
   }
 
   size_t NumTrees() const { return trees_.size(); }
+  const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
   std::vector<DecisionTree> trees_;

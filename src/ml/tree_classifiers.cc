@@ -16,9 +16,10 @@ StatusOr<std::vector<std::vector<double>>> TreePredictProba(
     return Status::InvalidArgument("tree classifier: schema mismatch");
   }
   const Matrix x = data.ToRawMatrix();
-  std::vector<std::vector<double>> out(x.rows());
+  std::vector<std::vector<double>> out(
+      x.rows(), std::vector<double>(static_cast<size_t>(tree.num_classes())));
   for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = tree.PredictProbaRow(x.RowPtr(r));
+    tree.AddProbaRow(x.RowPtr(r), 1.0, out[r].data());
   }
   return out;
 }

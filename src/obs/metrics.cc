@@ -138,8 +138,6 @@ MetricsRegistry::Series* MetricsRegistry::GetSeries(
     const std::string& name, const std::string& help, Type type,
     const std::vector<double>& bounds, const MetricLabels& labels) {
   const std::string key = RenderLabels(labels);
-  std::lock_guard<std::mutex> lock(mutex_);
-
   auto family_it = std::lower_bound(
       families_.begin(), families_.end(), name,
       [](const auto& entry, const std::string& n) { return entry.first < n; });
@@ -180,6 +178,7 @@ MetricsRegistry::Series* MetricsRegistry::GetSeries(
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help,
                                      const MetricLabels& labels) {
+  std::lock_guard<std::mutex> lock(mutex_);
   Series* series = GetSeries(name, help, Type::kCounter, {}, labels);
   if (series == nullptr) {
     // Type collision: drop writes rather than corrupting the family.
@@ -192,6 +191,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help,
                                  const MetricLabels& labels) {
+  std::lock_guard<std::mutex> lock(mutex_);
   Series* series = GetSeries(name, help, Type::kGauge, {}, labels);
   if (series == nullptr) {
     static Gauge* const dummy = new Gauge();
@@ -204,6 +204,7 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          const std::vector<double>& bounds,
                                          const MetricLabels& labels) {
+  std::lock_guard<std::mutex> lock(mutex_);
   Series* series = GetSeries(name, help, Type::kHistogram, bounds, labels);
   if (series == nullptr) {
     static Histogram* const dummy = new Histogram({1.0});

@@ -150,6 +150,9 @@ class MetricsRegistry {
     std::vector<std::pair<std::string, Series>> series;
   };
 
+  /// Finds or creates a series. The caller holds mutex_ until it has read
+  /// the metric pointer out of the series: a later insertion into the same
+  /// family moves the Series entries.
   Series* GetSeries(const std::string& name, const std::string& help,
                     Type type, const std::vector<double>& bounds,
                     const MetricLabels& labels);

@@ -39,6 +39,25 @@ StatusOr<std::unique_ptr<ClassifierObjective>> ClassifierObjective::Create(
       new ClassifierObjective());
   objective->prototype_ = prototype.Clone();
   objective->metric_ = metric;
+  MetricsRegistry& registry = GlobalMetrics();
+  const std::string algorithm = prototype.name();
+  const char* seconds_help =
+      "Seconds per fold-evaluation stage (fit, predict) by algorithm.";
+  const char* failed_help =
+      "Fold evaluations scored as cost 1.0 because the fit or predict "
+      "failed.";
+  objective->fit_seconds_ = registry.GetHistogram(
+      "smartml_eval_seconds", seconds_help, LatencyBuckets(),
+      {{"algorithm", algorithm}, {"stage", "fit"}});
+  objective->predict_seconds_ = registry.GetHistogram(
+      "smartml_eval_seconds", seconds_help, LatencyBuckets(),
+      {{"algorithm", algorithm}, {"stage", "predict"}});
+  objective->fit_failures_ = registry.GetCounter(
+      "smartml_evaluations_failed_total", failed_help,
+      {{"algorithm", algorithm}, {"reason", "fit"}});
+  objective->predict_failures_ = registry.GetCounter(
+      "smartml_evaluations_failed_total", failed_help,
+      {{"algorithm", algorithm}, {"reason", "predict"}});
   if (num_folds <= 1) {
     SMARTML_ASSIGN_OR_RETURN(TrainValidationSplit split,
                              StratifiedSplit(data, 0.25, seed));
@@ -53,6 +72,18 @@ StatusOr<std::unique_ptr<ClassifierObjective>> ClassifierObjective::Create(
   return objective;
 }
 
+StatusOr<double> ClassifierObjective::FailedEvaluation(const Status& status,
+                                                       Counter* failures) {
+  // Cancellation is the one failure that must NOT be swallowed: it means
+  // the whole run is being torn down, not that this config is bad.
+  if (status.code() == StatusCode::kCancelled) return status;
+  // A configuration that fails to train or predict is maximally bad, not
+  // fatal: SMAC must be able to route around crashing configs.
+  failures->Increment();
+  num_failed_.fetch_add(1, std::memory_order_relaxed);
+  return 1.0;
+}
+
 StatusOr<double> ClassifierObjective::EvaluateFold(const ParamConfig& config,
                                                    size_t fold) {
   if (fold >= splits_.size()) {
@@ -62,36 +93,33 @@ StatusOr<double> ClassifierObjective::EvaluateFold(const ParamConfig& config,
   FaultMaybeDelay("slow_train");  // Makes runs reliably slow under test.
   const TrainValidationSplit& split = splits_[fold];
   std::unique_ptr<Classifier> model = prototype_->Clone();
-  const Status fit_status = model->Fit(split.train, config);
-  if (!fit_status.ok()) {
-    // Cancellation is the one failure that must NOT be swallowed: it means
-    // the whole run is being torn down, not that this config is bad.
-    if (fit_status.code() == StatusCode::kCancelled) return fit_status;
-    // A configuration that fails to train is maximally bad, not fatal: SMAC
-    // must be able to route around crashing configs.
-    return 1.0;
+  Status fit_status;
+  {
+    ScopedTimer timer(fit_seconds_);
+    fit_status = model->Fit(split.train, config);
   }
+  if (!fit_status.ok()) return FailedEvaluation(fit_status, fit_failures_);
   const std::vector<int>& actual = split.validation.labels();
   const int num_classes = static_cast<int>(split.validation.NumClasses());
 
   if (metric_ == TuneMetric::kLogLoss) {
-    auto proba = model->PredictProba(split.validation);
+    StatusOr<std::vector<std::vector<double>>> proba = [&] {
+      ScopedTimer timer(predict_seconds_);
+      return model->PredictProba(split.validation);
+    }();
     if (!proba.ok()) {
-      if (proba.status().code() == StatusCode::kCancelled) {
-        return proba.status();
-      }
-      return 1.0;
+      return FailedEvaluation(proba.status(), predict_failures_);
     }
     // Squash unbounded log loss into (0, 1): cost = 1 - exp(-loss).
     return 1.0 - std::exp(-LogLoss(actual, *proba));
   }
 
-  auto predictions = model->Predict(split.validation);
+  StatusOr<std::vector<int>> predictions = [&] {
+    ScopedTimer timer(predict_seconds_);
+    return model->Predict(split.validation);
+  }();
   if (!predictions.ok()) {
-    if (predictions.status().code() == StatusCode::kCancelled) {
-      return predictions.status();
-    }
-    return 1.0;
+    return FailedEvaluation(predictions.status(), predict_failures_);
   }
   switch (metric_) {
     case TuneMetric::kAccuracy:

@@ -16,6 +16,7 @@
 #include "src/data/dataset.h"
 #include "src/data/split.h"
 #include "src/ml/classifier.h"
+#include "src/obs/metrics.h"
 #include "src/tuning/param_space.h"
 
 namespace smartml {
@@ -66,14 +67,32 @@ class ClassifierObjective : public TuningObjective {
     return num_evaluations_.load(std::memory_order_relaxed);
   }
 
+  /// Evaluations whose fit or predict failed (not cancelled) and were
+  /// scored as cost 1.0 so the tuner could route around the config.
+  size_t num_failed_evaluations() const {
+    return num_failed_.load(std::memory_order_relaxed);
+  }
+
  private:
   ClassifierObjective() = default;
+
+  /// Scores a failed fit or predict as the worst cost, counting it under
+  /// smartml_evaluations_failed_total{reason}. Cancellation passes through.
+  StatusOr<double> FailedEvaluation(const Status& status, Counter* failures);
 
   std::unique_ptr<Classifier> prototype_;
   std::vector<TrainValidationSplit> splits_;
   TuneMetric metric_ = TuneMetric::kAccuracy;
   /// Atomic: concurrent fold evaluations from a parallel batch all count.
   std::atomic<size_t> num_evaluations_{0};
+  std::atomic<size_t> num_failed_{0};
+  /// smartml_eval_seconds{algorithm, stage} and
+  /// smartml_evaluations_failed_total{algorithm, reason} series of this
+  /// objective's algorithm, resolved once at Create.
+  Histogram* fit_seconds_ = nullptr;
+  Histogram* predict_seconds_ = nullptr;
+  Counter* fit_failures_ = nullptr;
+  Counter* predict_failures_ = nullptr;
 };
 
 /// Outcome of a tuning run.

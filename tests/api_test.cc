@@ -108,6 +108,8 @@ TEST(JsonTest, ResultToJsonEndToEnd) {
   EXPECT_NE(json.find("\"best_algorithm\""), std::string::npos);
   EXPECT_NE(json.find("\"importances\""), std::string::npos);
   EXPECT_NE(json.find("\"selected_features\""), std::string::npos);
+  // Every candidate reports how many fold evaluations failed (none here).
+  EXPECT_NE(json.find("\"failed_evaluations\":0"), std::string::npos);
   // No raw control characters.
   for (char c : json) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u);

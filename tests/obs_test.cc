@@ -52,6 +52,44 @@ TEST(ObsCounterTest, ConcurrentRegistrationYieldsOneSeries) {
             static_cast<uint64_t>(kThreads) * 1000);
 }
 
+TEST(ObsRegistryTest, ConcurrentRegistrationOfNewSeries) {
+  // Threads keep adding new series to one family (as concurrent tuning
+  // objectives do for their algorithm labels) while reading the metric
+  // pointer back out of each: an insertion must not move a series another
+  // thread is still reading.
+  MetricsRegistry registry;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry, t] {
+      for (int i = 0; i < 200; ++i) {
+        const MetricLabels labels = {{"thread", std::to_string(t)},
+                                     {"i", std::to_string(i)}};
+        registry.GetCounter("obs_test_fanout_total", "help", labels)
+            ->Increment();
+        registry
+            .GetHistogram("obs_test_fanout_seconds", "help", LatencyBuckets(),
+                          labels)
+            ->Observe(0.001);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < 200; ++i) {
+      const MetricLabels labels = {{"thread", std::to_string(t)},
+                                   {"i", std::to_string(i)}};
+      EXPECT_EQ(
+          registry.GetCounter("obs_test_fanout_total", "help", labels)->Value(),
+          1u);
+      EXPECT_EQ(registry
+                    .GetHistogram("obs_test_fanout_seconds", "help",
+                                  LatencyBuckets(), labels)
+                    ->TotalCount(),
+                1u);
+    }
+  }
+}
+
 TEST(ObsGaugeTest, ConcurrentUpDownBalances) {
   MetricsRegistry registry;
   Gauge* gauge = registry.GetGauge("obs_test_depth", "help");

@@ -8,8 +8,10 @@
 // Lossy (quantile) binning and fractional weights only promise closeness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "src/data/binned_columns.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
+#include "src/ml/boosting.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/forest.h"
 
@@ -211,6 +214,175 @@ TEST(TreeHistogramTest, MtrySubsetMatchesExact) {
   options.seed = 5;
   const auto [exact, hist] = FitPair(train, {}, options);
   ExpectIdenticalOnTrain(train, exact, hist);
+}
+
+// The regime a random forest grows in: many classes, an mtry subset, no
+// depth or leaf gates to speak of (min_leaf 1, depth 40), integer bootstrap
+// counts with zeros, and missing cells. Nodes shrink to one to three rows,
+// where histogram growth scans only the few bins the rows occupy. Columns
+// are snapped to at most 200 values so the binning stays lossless and the
+// exact builder remains the oracle.
+TEST(TreeHistogramTest, ForestRegimeMatchesExact) {
+  for (uint64_t seed : {61u, 62u, 63u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    SyntheticSpec spec;
+    spec.num_instances = 400;
+    spec.num_informative = 10;
+    spec.num_noise = 4;
+    spec.num_classes = 12;
+    spec.clusters_per_class = 1;
+    spec.class_sep = 1.0;
+    spec.label_noise = 0.1;
+    spec.missing_fraction = 0.1;
+    spec.seed = seed;
+    Dataset train = GenerateSynthetic(spec);
+    for (size_t f = 0; f < train.NumFeatures(); ++f) {
+      auto& values = train.mutable_feature(f).values;
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -lo;
+      for (double v : values) {
+        if (IsMissing(v)) continue;
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+      }
+      for (double& v : values) {
+        if (!IsMissing(v)) v = std::floor((v - lo) / (hi - lo) * 199.0);
+      }
+    }
+    const auto binned = train.Binned();
+    for (size_t f = 0; f < binned->num_features(); ++f) {
+      ASSERT_TRUE(binned->column(f).lossless) << "feature " << f;
+    }
+    Rng rng(seed);
+    std::vector<double> weights(train.NumRows(), 0.0);
+    for (size_t r = 0; r < weights.size(); ++r) {
+      weights[rng.UniformInt(weights.size())] += 1.0;
+    }
+    ASSERT_NE(std::count(weights.begin(), weights.end(), 0.0), 0);
+    TreeOptions options;
+    options.max_depth = 40;
+    options.min_split = 2;
+    options.min_leaf = 1;
+    options.mtry = 4;
+    options.seed = seed;
+    const auto [exact, hist] = FitPair(train, weights, options);
+    ExpectIdenticalOnTrain(train, exact, hist, weights);
+  }
+}
+
+// Oracle for DecisionTree::AddProbaRow: one PredictProbaRow vector per
+// (row, tree), added in tree order (scaled by the vote weight when the
+// ensemble is boosted), then normalized.
+std::vector<std::vector<double>> PerTreeProbaSum(
+    const std::vector<DecisionTree>& trees, const std::vector<double>* alphas,
+    const Dataset& data, int num_classes) {
+  const Matrix x = data.ToRawMatrix();
+  std::vector<std::vector<double>> out(
+      x.rows(), std::vector<double>(static_cast<size_t>(num_classes), 0.0));
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t t = 0; t < trees.size(); ++t) {
+      const std::vector<double> p = trees[t].PredictProbaRow(x.RowPtr(r));
+      for (size_t k = 0; k < p.size(); ++k) {
+        out[r][k] += alphas != nullptr ? (*alphas)[t] * p[k] : p[k];
+      }
+    }
+    NormalizeProba(&out[r]);
+  }
+  return out;
+}
+
+// Forest, bagging and boosting predictions add every tree's leaf
+// probabilities straight into the output row; they must equal the per-tree
+// vector sum bit for bit.
+TEST(TreeHistogramTest, AccumulatedEnsembleProbaMatchesPerTreeSum) {
+  const Dataset train = GridDataset(71, 0.1, 2);
+  const Dataset test = GridDataset(72, 0.1, 2);
+  const int k = static_cast<int>(train.NumClasses());
+  auto expect_same = [](const std::vector<std::vector<double>>& got,
+                        const std::vector<std::vector<double>>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_EQ(got[r], want[r]) << "row " << r;
+    }
+  };
+  ParamConfig config;
+  config.SetInt("ntree", 20);
+  config.SetInt("nbagg", 10);
+  config.SetInt("trials", 8);
+  config.SetInt("num_iter", 10);
+
+  RandomForestClassifier forest;
+  ASSERT_TRUE(forest.Fit(train, config).ok());
+  BaggingClassifier bagging;
+  ASSERT_TRUE(bagging.Fit(train, config).ok());
+  C50Classifier c50;
+  ASSERT_TRUE(c50.Fit(train, config).ok());
+  DeepBoostClassifier deepboost;
+  ASSERT_TRUE(deepboost.Fit(train, config).ok());
+  ASSERT_GT(c50.NumRounds(), 1u);
+  ASSERT_GT(deepboost.NumRounds(), 1u);
+
+  for (const Dataset* data : {&train, &test}) {
+    expect_same(*forest.PredictProba(*data),
+                PerTreeProbaSum(forest.trees(), nullptr, *data, k));
+    expect_same(*bagging.PredictProba(*data),
+                PerTreeProbaSum(bagging.trees(), nullptr, *data, k));
+    expect_same(*c50.PredictProba(*data),
+                PerTreeProbaSum(c50.trees(), &c50.alphas(), *data, k));
+    expect_same(
+        *deepboost.PredictProba(*data),
+        PerTreeProbaSum(deepboost.trees(), &deepboost.alphas(), *data, k));
+  }
+}
+
+// C5.0 and DeepBoost grow every round on the training Dataset's cached
+// binned view rather than re-binning the raw matrix per fit. Both views come
+// from the same Builder, so they are equal, and so are the boosted trees
+// grown on them with fractional (boosting-round) weights.
+TEST(TreeHistogramTest, CachedBinnedViewMatchesRebuiltView) {
+  const Dataset train = GridDataset(81, 0.1, 2);
+  const Matrix x = train.ToRawMatrix();
+  const TreeSchema schema = TreeSchema::FromDataset(train);
+  const auto cached = train.Binned();
+  const auto rebuilt = std::make_shared<const BinnedColumns>(
+      BinnedColumns::FromMatrix(x, schema.categorical, schema.cardinalities));
+  ASSERT_EQ(cached->num_features(), rebuilt->num_features());
+  for (size_t f = 0; f < cached->num_features(); ++f) {
+    const BinnedColumn& a = cached->column(f);
+    const BinnedColumn& b = rebuilt->column(f);
+    EXPECT_EQ(a.num_bins, b.num_bins) << "feature " << f;
+    EXPECT_EQ(a.thresholds, b.thresholds) << "feature " << f;
+    EXPECT_EQ(a.codes, b.codes) << "feature " << f;
+  }
+
+  Rng rng(5);
+  std::vector<double> weights(train.NumRows());
+  for (double& w : weights) w = rng.Uniform(0.2, 3.0);
+  for (bool c50_like : {true, false}) {
+    TreeOptions options;
+    options.split_mode = TreeSplitMode::kHistogram;
+    options.criterion =
+        c50_like ? TreeCriterion::kGainRatio : TreeCriterion::kGini;
+    options.multiway_categorical = c50_like;
+    options.confidence_factor = c50_like ? 0.25 : 0.0;
+    options.min_leaf = c50_like ? 2 : 1;
+    options.max_depth = c50_like ? 30 : 6;
+    const int k = static_cast<int>(train.NumClasses());
+    DecisionTree on_cached;
+    DecisionTree on_rebuilt;
+    ASSERT_TRUE(
+        on_cached.Fit(x, schema, train.labels(), k, weights, options, cached)
+            .ok());
+    ASSERT_TRUE(
+        on_rebuilt.Fit(x, schema, train.labels(), k, weights, options, rebuilt)
+            .ok());
+    ASSERT_EQ(on_cached.NumNodes(), on_rebuilt.NumNodes());
+    for (size_t r = 0; r < x.rows(); ++r) {
+      ASSERT_EQ(on_cached.PredictProbaRow(x.RowPtr(r)),
+                on_rebuilt.PredictProbaRow(x.RowPtr(r)))
+          << "row " << r;
+    }
+  }
 }
 
 // Fractional weights change floating-point summation order between the two
@@ -410,8 +582,10 @@ TEST(SimdKernelTest, AccumulateBinHistogramMatchesNaiveLoop) {
 
   std::vector<double> wsum((kBins + 1) * kClasses, 0.0);
   std::vector<uint32_t> cnt(kBins + 1, 0);
+  uint64_t occupied[kBinMaskWords] = {0, 0, 0, 0};
   AccumulateBinHistogram(codes.data(), rows.data(), rows.size(), y.data(),
-                         w.data(), kClasses, kBins, wsum.data(), cnt.data());
+                         w.data(), kClasses, kBins, wsum.data(), cnt.data(),
+                         occupied);
 
   std::vector<double> want_w((kBins + 1) * kClasses, 0.0);
   std::vector<uint32_t> want_c(kBins + 1, 0);
@@ -426,6 +600,11 @@ TEST(SimdKernelTest, AccumulateBinHistogramMatchesNaiveLoop) {
   }
   for (size_t b = 0; b <= kBins; ++b) {
     EXPECT_EQ(cnt[b], want_c[b]) << "bin " << b;
+  }
+  // The occupancy mask lists exactly the slots some row landed in.
+  for (size_t b = 0; b < 64 * kBinMaskWords; ++b) {
+    const bool bit = (occupied[b / 64] >> (b % 64)) & 1;
+    EXPECT_EQ(bit, b <= kBins && want_c[b] > 0) << "slot " << b;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/ml/knn.h"
+#include "src/obs/metrics.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/random_search.h"
 #include "src/tuning/smac.h"
@@ -392,6 +393,92 @@ TEST(ObjectiveTest, CrashingConfigCostsMaximum) {
   ASSERT_TRUE(cost.ok());
   EXPECT_GE(*cost, 0.0);
   EXPECT_LE(*cost, 1.0);
+}
+
+// Fails its fit or its predict on demand ("mode" = "fit", "predict",
+// "cancel"), otherwise predicts class 0.
+class ScriptedFailureClassifier : public Classifier {
+ public:
+  std::string name() const override { return "scripted_failure_probe"; }
+  Status Fit(const Dataset& train, const ParamConfig& config) override {
+    mode_ = config.GetChoice("mode", "ok");
+    num_classes_ = train.NumClasses();
+    if (mode_ == "fit") return Status::Internal("scripted fit failure");
+    if (mode_ == "cancel") return Status::Cancelled("scripted cancel");
+    return Status::OK();
+  }
+  StatusOr<std::vector<std::vector<double>>> PredictProba(
+      const Dataset& data) const override {
+    if (mode_ == "predict") return Status::Internal("scripted failure");
+    std::vector<double> row(num_classes_, 0.0);
+    row[0] = 1.0;
+    return std::vector<std::vector<double>>(data.NumRows(), row);
+  }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<ScriptedFailureClassifier>();
+  }
+
+ private:
+  std::string mode_;
+  size_t num_classes_ = 0;
+};
+
+TEST(ObjectiveTest, FailedEvaluationsAreCountedAndTimed) {
+  SyntheticSpec spec;
+  spec.num_instances = 60;
+  const Dataset d = GenerateSynthetic(spec);
+  ScriptedFailureClassifier prototype;
+  auto objective = ClassifierObjective::Create(prototype, d, 2, 3);
+  ASSERT_TRUE(objective.ok());
+  MetricsRegistry& registry = GlobalMetrics();
+  const MetricLabels fit_labels = {{"algorithm", prototype.name()},
+                                   {"reason", "fit"}};
+  const MetricLabels predict_labels = {{"algorithm", prototype.name()},
+                                       {"reason", "predict"}};
+  Counter* fit_failures =
+      registry.GetCounter("smartml_evaluations_failed_total", "", fit_labels);
+  Counter* predict_failures = registry.GetCounter(
+      "smartml_evaluations_failed_total", "", predict_labels);
+  Histogram* fit_seconds = registry.GetHistogram(
+      "smartml_eval_seconds", "", LatencyBuckets(),
+      {{"algorithm", prototype.name()}, {"stage", "fit"}});
+  Histogram* predict_seconds = registry.GetHistogram(
+      "smartml_eval_seconds", "", LatencyBuckets(),
+      {{"algorithm", prototype.name()}, {"stage", "predict"}});
+  const uint64_t fits_before = fit_seconds->TotalCount();
+  const uint64_t predicts_before = predict_seconds->TotalCount();
+
+  auto evaluate = [&](const char* mode) {
+    ParamConfig config;
+    config.SetChoice("mode", mode);
+    return (*objective)->EvaluateFold(config, 0);
+  };
+  auto ok = evaluate("ok");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_LT(*ok, 1.0);
+  EXPECT_EQ((*objective)->num_failed_evaluations(), 0u);
+
+  auto fit_failed = evaluate("fit");
+  ASSERT_TRUE(fit_failed.ok());
+  EXPECT_EQ(*fit_failed, 1.0);
+  EXPECT_EQ(fit_failures->Value(), 1u);
+  EXPECT_EQ(predict_failures->Value(), 0u);
+
+  auto predict_failed = evaluate("predict");
+  ASSERT_TRUE(predict_failed.ok());
+  EXPECT_EQ(*predict_failed, 1.0);
+  EXPECT_EQ(predict_failures->Value(), 1u);
+  EXPECT_EQ((*objective)->num_failed_evaluations(), 2u);
+
+  // Cancellation tears the run down; it is not a failed configuration.
+  auto cancelled = evaluate("cancel");
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(fit_failures->Value(), 1u);
+  EXPECT_EQ((*objective)->num_failed_evaluations(), 2u);
+
+  // Every fit is timed; predicts run only after a fit succeeded.
+  EXPECT_EQ(fit_seconds->TotalCount() - fits_before, 4u);
+  EXPECT_EQ(predict_seconds->TotalCount() - predicts_before, 2u);
 }
 
 TEST(SmacTest, ManyDuplicateWarmStartsDeduplicated) {
