@@ -348,7 +348,9 @@ void BM_SurrogateFit(benchmark::State& state) {
     benchmark::DoNotOptimize(forest.Fit(x, y, {}));
   }
 }
-BENCHMARK(BM_SurrogateFit)->Arg(50)->Arg(200)->Arg(800);
+// 800 and 1500 configs are the surrogate sizes a time-budgeted run of a
+// cheap learner (lda, naive_bayes) reaches.
+BENCHMARK(BM_SurrogateFit)->Arg(50)->Arg(200)->Arg(800)->Arg(1500);
 
 void BM_SurrogatePredict(benchmark::State& state) {
   Rng rng(5);
@@ -392,7 +394,9 @@ void BM_SmacIteration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SmacIteration)->Arg(20)->Arg(60);
+// 500 evaluations is the scale of one cheap candidate's search in a
+// time-budgeted run, where SMAC's own work is most of the cost.
+BENCHMARK(BM_SmacIteration)->Arg(20)->Arg(60)->Arg(500);
 
 void BM_PreprocessPca(benchmark::State& state) {
   const Dataset d = BenchDataset(static_cast<size_t>(state.range(0)), 24);

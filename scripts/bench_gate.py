@@ -54,6 +54,11 @@ GATED = [
     # small-node regime BM_TreeGrow* (min_leaf 20, no mtry) never reaches.
     "BM_ForestFit",
     "BM_MetaFeatureDistanceScan/10000",
+    # SMAC's own work: one presorted surrogate fit at 800 configs, and a
+    # whole 500-evaluation search on a free objective (surrogate refits,
+    # flat EI candidates, bookkeeping).
+    "BM_SurrogateFit/800",
+    "BM_SmacIteration/500",
 ]
 
 

@@ -1265,8 +1265,13 @@ void DecisionTree::AddProbaRow(const double* row, double scale,
     for (int k = 0; k < num_classes_; ++k) out[k] += scale * uniform;
     return;
   }
+  AddLeafProba(static_cast<int>(LeafFor(row)), scale, out);
+}
+
+void DecisionTree::AddLeafProba(int leaf_index, double scale,
+                                double* out) const {
   // Laplace-smoothed leaf frequencies.
-  const Node& leaf = nodes_[LeafFor(row)];
+  const Node& leaf = nodes_[static_cast<size_t>(leaf_index)];
   const double total = leaf.weight + num_classes_;
   for (int k = 0; k < num_classes_; ++k) {
     out[k] +=

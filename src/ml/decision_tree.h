@@ -103,6 +103,10 @@ class DecisionTree {
   /// Index of the leaf a row lands in (for LMT leaf models).
   int LeafIndexForRow(const double* row) const;
 
+  /// AddProbaRow for a row already routed to `leaf` (a LeafIndexForRow
+  /// result), so a caller that needs both walks the tree once.
+  void AddLeafProba(int leaf, double scale, double* out) const;
+
   bool fitted() const { return !nodes_.empty(); }
   int num_classes() const { return num_classes_; }
   size_t NumNodes() const { return nodes_.size(); }

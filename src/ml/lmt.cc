@@ -81,29 +81,27 @@ StatusOr<std::vector<std::vector<double>>> LmtClassifier::PredictProba(
   }
   const Matrix raw = data.ToRawMatrix();
   SMARTML_ASSIGN_OR_RETURN(Matrix x, encoder_.Transform(data));
-  std::vector<std::vector<double>> out(data.NumRows());
+  std::vector<std::vector<double>> out(
+      data.NumRows(),
+      std::vector<double>(static_cast<size_t>(tree_.num_classes()), 0.0));
   for (size_t r = 0; r < data.NumRows(); ++r) {
     const int leaf = tree_.LeafIndexForRow(raw.RowPtr(r));
     const auto it = leaf_models_.find(leaf);
-    if (it != leaf_models_.end()) {
-      // Blend the leaf's logistic posterior with the tree posterior —
-      // LMT's SimpleLogistic leaves behave similarly via boosted priors.
-      std::vector<double> lr = it->second.PredictProbaRow(x.RowPtr(r));
-      const std::vector<double> tp = tree_.PredictProbaRow(raw.RowPtr(r));
-      for (size_t k = 0; k < lr.size(); ++k) {
-        lr[k] = 0.8 * lr[k] + 0.2 * tp[k];
-      }
-      out[r] = std::move(lr);
-    } else if (root_model_.fitted()) {
-      std::vector<double> lr = root_model_.PredictProbaRow(x.RowPtr(r));
-      const std::vector<double> tp = tree_.PredictProbaRow(raw.RowPtr(r));
-      for (size_t k = 0; k < lr.size(); ++k) {
-        lr[k] = 0.5 * lr[k] + 0.5 * tp[k];
-      }
-      out[r] = std::move(lr);
-    } else {
-      out[r] = tree_.PredictProbaRow(raw.RowPtr(r));
+    // Blend the leaf's logistic posterior with the tree posterior (LMT's
+    // SimpleLogistic leaves behave similarly via boosted priors); leaves
+    // without a model fall back to the root model, then to the tree alone.
+    const LogisticModel* model = it != leaf_models_.end() ? &it->second
+                                 : root_model_.fitted()   ? &root_model_
+                                                          : nullptr;
+    double* p = out[r].data();
+    double tree_weight = 1.0;
+    if (model != nullptr) {
+      const double model_weight = model == &root_model_ ? 0.5 : 0.8;
+      tree_weight = model == &root_model_ ? 0.5 : 0.2;
+      model->PredictProbaRow(x.RowPtr(r), p);
+      for (size_t k = 0; k < out[r].size(); ++k) p[k] *= model_weight;
     }
+    tree_.AddLeafProba(leaf, tree_weight, p);
   }
   return out;
 }

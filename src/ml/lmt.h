@@ -28,6 +28,14 @@ class LmtClassifier : public Classifier {
 
   size_t NumLeafModels() const { return leaf_models_.size(); }
 
+  // Read-only parts of the fitted model, for the prediction oracle test.
+  const DecisionTree& tree() const { return tree_; }
+  const NumericEncoder& encoder() const { return encoder_; }
+  const std::unordered_map<int, LogisticModel>& leaf_models() const {
+    return leaf_models_;
+  }
+  const LogisticModel& root_model() const { return root_model_; }
+
  private:
   DecisionTree tree_;
   NumericEncoder encoder_;

@@ -96,24 +96,28 @@ Status LogisticModel::Fit(const Matrix& x, const std::vector<int>& y,
 }
 
 std::vector<double> LogisticModel::PredictProbaRow(const double* row) const {
+  std::vector<double> proba(static_cast<size_t>(num_classes_));
+  PredictProbaRow(row, proba.data());
+  return proba;
+}
+
+void LogisticModel::PredictProbaRow(const double* row, double* out) const {
   const auto k = static_cast<size_t>(num_classes_);
   const size_t stride = dim_ + 1;
-  std::vector<double> logits(k);
+  // The logits go to `out` and are turned into probabilities in place.
   for (size_t c = 0; c < k; ++c) {
     double acc = weights_[c * stride + dim_];
     const double* wc = &weights_[c * stride];
     for (size_t j = 0; j < dim_; ++j) acc += wc[j] * row[j];
-    logits[c] = acc;
+    out[c] = acc;
   }
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
+  const double max_logit = *std::max_element(out, out + k);
   double total = 0.0;
-  std::vector<double> proba(k);
   for (size_t c = 0; c < k; ++c) {
-    proba[c] = std::exp(logits[c] - max_logit);
-    total += proba[c];
+    out[c] = std::exp(out[c] - max_logit);
+    total += out[c];
   }
-  for (double& p : proba) p /= total;
-  return proba;
+  for (size_t c = 0; c < k; ++c) out[c] /= total;
 }
 
 }  // namespace smartml

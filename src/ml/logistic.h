@@ -28,6 +28,8 @@ class LogisticModel {
 
   /// Class probabilities for one row of width d.
   std::vector<double> PredictProbaRow(const double* row) const;
+  /// The same probabilities written to out[0 .. num_classes()).
+  void PredictProbaRow(const double* row, double* out) const;
 
   bool fitted() const { return num_classes_ > 0; }
   int num_classes() const { return num_classes_; }

@@ -94,6 +94,7 @@ ParamSpace& ParamSpace::AddDouble(const std::string& name, double min_value,
   spec.default_double = default_value;
   spec.log_scale = log_scale;
   specs_.push_back(std::move(spec));
+  LinkParents();
   return *this;
 }
 
@@ -108,6 +109,7 @@ ParamSpace& ParamSpace::AddInt(const std::string& name, int64_t min_value,
   spec.default_int = default_value;
   spec.log_scale = log_scale;
   specs_.push_back(std::move(spec));
+  LinkParents();
   return *this;
 }
 
@@ -120,6 +122,7 @@ ParamSpace& ParamSpace::AddCategorical(const std::string& name,
   spec.choices = std::move(choices);
   spec.default_choice = default_choice;
   specs_.push_back(std::move(spec));
+  LinkParents();
   return *this;
 }
 
@@ -133,6 +136,7 @@ ParamSpace& ParamSpace::Condition(const std::string& name,
       break;
     }
   }
+  LinkParents();
   return *this;
 }
 
@@ -198,25 +202,114 @@ double PerturbNumeric(const ParamSpec& spec, double current, Rng* rng) {
   return std::clamp(x, spec.min_value, spec.max_value);
 }
 
+// Per-spec kernels. Every ParamConfig and flat-row operation of ParamSpace
+// goes through these, on a spec's flat value: the number, the integer, or
+// the choice index (-1 for a choice outside the domain).
+
+double SampleValue(const ParamSpec& spec, Rng* rng) {
+  switch (spec.type) {
+    case ParamType::kDouble:
+      return SampleNumeric(spec, rng);
+    case ParamType::kInt:
+      return static_cast<double>(std::llround(SampleNumeric(spec, rng)));
+    case ParamType::kCategorical:
+      return static_cast<double>(rng->UniformInt(spec.choices.size()));
+  }
+  return 0.0;
+}
+
+// SMAC's local-search move of one value. A categorical with fewer than two
+// choices cannot move and draws nothing.
+double PerturbValue(const ParamSpec& spec, double current, Rng* rng) {
+  switch (spec.type) {
+    case ParamType::kDouble:
+      return PerturbNumeric(spec, current, rng);
+    case ParamType::kInt: {
+      const auto cur = static_cast<int64_t>(current);
+      int64_t v = std::llround(PerturbNumeric(spec, current, rng));
+      // Guarantee the neighbour actually moves for small integer ranges.
+      if (v == cur) v += rng->Bernoulli(0.5) ? 1 : -1;
+      return static_cast<double>(
+          std::clamp<int64_t>(v, static_cast<int64_t>(spec.min_value),
+                              static_cast<int64_t>(spec.max_value)));
+    }
+    case ParamType::kCategorical: {
+      if (spec.choices.size() <= 1) return current;
+      double next = current;
+      while (next == current) {
+        next = static_cast<double>(rng->UniformInt(spec.choices.size()));
+      }
+      return next;
+    }
+  }
+  return current;
+}
+
+// Surrogate encoding: numerics normalized to [0,1] (log-scale aware),
+// categoricals as choice index (0 outside the domain), inactive as -1.
+double EncodeValue(const ParamSpec& spec, double value, bool active) {
+  if (!active) return -1.0;
+  if (spec.type == ParamType::kCategorical) return value < 0.0 ? 0.0 : value;
+  double lo = spec.min_value, hi = spec.max_value;
+  if (spec.log_scale) {
+    lo = std::log(std::max(lo, 1e-12));
+    hi = std::log(std::max(hi, 1e-12));
+    value = std::log(std::max(value, 1e-12));
+  }
+  return hi > lo ? std::clamp((value - lo) / (hi - lo), 0.0, 1.0) : 0.0;
+}
+
+// Activation of a conditional spec given its parent's choice ("" when
+// absent).
+bool ActiveUnder(const ParamSpec& spec, const std::string& parent_value) {
+  return std::find(spec.parent_values.begin(), spec.parent_values.end(),
+                   parent_value) != spec.parent_values.end();
+}
+
+// The flat value of `spec` in `config`; missing keys read as the default.
+double ValueOf(const ParamSpec& spec, const ParamConfig& config) {
+  switch (spec.type) {
+    case ParamType::kDouble:
+      return config.GetDouble(spec.name, spec.default_double);
+    case ParamType::kInt:
+      return static_cast<double>(config.GetInt(spec.name, spec.default_int));
+    case ParamType::kCategorical: {
+      const std::string c = config.GetChoice(spec.name, spec.default_choice);
+      const auto it = std::find(spec.choices.begin(), spec.choices.end(), c);
+      return it == spec.choices.end()
+                 ? -1.0
+                 : static_cast<double>(it - spec.choices.begin());
+    }
+  }
+  return 0.0;
+}
+
+// Stores flat `value` as `spec`'s entry of `config` (an out-of-domain
+// choice index stores the default choice).
+void SetValue(const ParamSpec& spec, double value, ParamConfig* config) {
+  switch (spec.type) {
+    case ParamType::kDouble:
+      config->SetDouble(spec.name, value);
+      break;
+    case ParamType::kInt:
+      config->SetInt(spec.name, static_cast<int64_t>(value));
+      break;
+    case ParamType::kCategorical:
+      config->SetChoice(spec.name,
+                        value < 0.0 || value >= static_cast<double>(
+                                                   spec.choices.size())
+                            ? spec.default_choice
+                            : spec.choices[static_cast<size_t>(value)]);
+      break;
+  }
+}
+
 }  // namespace
 
 ParamConfig ParamSpace::Sample(Rng* rng) const {
   ParamConfig config;
   for (const auto& spec : specs_) {
-    switch (spec.type) {
-      case ParamType::kDouble:
-        config.SetDouble(spec.name, SampleNumeric(spec, rng));
-        break;
-      case ParamType::kInt:
-        config.SetInt(
-            spec.name,
-            static_cast<int64_t>(std::llround(SampleNumeric(spec, rng))));
-        break;
-      case ParamType::kCategorical:
-        config.SetChoice(spec.name,
-                         spec.choices[rng->UniformInt(spec.choices.size())]);
-        break;
-    }
+    SetValue(spec, SampleValue(spec, rng), &config);
   }
   return config;
 }
@@ -225,86 +318,102 @@ ParamConfig ParamSpace::Neighbor(const ParamConfig& base, Rng* rng) const {
   if (specs_.empty()) return base;
   ParamConfig out = base;
   const ParamSpec& spec = specs_[rng->UniformInt(specs_.size())];
-  switch (spec.type) {
-    case ParamType::kDouble: {
-      const double cur = base.GetDouble(spec.name, spec.default_double);
-      out.SetDouble(spec.name, PerturbNumeric(spec, cur, rng));
-      break;
-    }
-    case ParamType::kInt: {
-      const double cur = static_cast<double>(
-          base.GetInt(spec.name, spec.default_int));
-      const double moved = PerturbNumeric(spec, cur, rng);
-      int64_t v = static_cast<int64_t>(std::llround(moved));
-      // Guarantee the neighbour actually moves for small integer ranges.
-      if (v == base.GetInt(spec.name, spec.default_int)) {
-        v += rng->Bernoulli(0.5) ? 1 : -1;
-      }
-      v = std::clamp<int64_t>(v, static_cast<int64_t>(spec.min_value),
-                              static_cast<int64_t>(spec.max_value));
-      out.SetInt(spec.name, v);
-      break;
-    }
-    case ParamType::kCategorical: {
-      if (spec.choices.size() > 1) {
-        std::string cur = base.GetChoice(spec.name, spec.default_choice);
-        std::string next = cur;
-        while (next == cur) {
-          next = spec.choices[rng->UniformInt(spec.choices.size())];
-        }
-        out.SetChoice(spec.name, next);
-      }
-      break;
-    }
+  if (spec.type == ParamType::kCategorical && spec.choices.size() <= 1) {
+    return out;
   }
+  SetValue(spec, PerturbValue(spec, ValueOf(spec, base), rng), &out);
   return out;
 }
 
 bool ParamSpace::IsActive(const ParamSpec& spec,
                           const ParamConfig& config) const {
-  if (spec.parent.empty()) return true;
-  const std::string parent_value = config.GetChoice(spec.parent, "");
-  return std::find(spec.parent_values.begin(), spec.parent_values.end(),
-                   parent_value) != spec.parent_values.end();
+  return spec.parent.empty() ||
+         ActiveUnder(spec, config.GetChoice(spec.parent, ""));
 }
 
 std::vector<double> ParamSpace::Encode(const ParamConfig& config) const {
   std::vector<double> out;
   out.reserve(specs_.size());
   for (const auto& spec : specs_) {
-    if (!IsActive(spec, config)) {
-      out.push_back(-1.0);
-      continue;
-    }
-    switch (spec.type) {
-      case ParamType::kDouble:
-      case ParamType::kInt: {
-        double v = spec.type == ParamType::kDouble
-                       ? config.GetDouble(spec.name, spec.default_double)
-                       : static_cast<double>(
-                             config.GetInt(spec.name, spec.default_int));
-        double lo = spec.min_value, hi = spec.max_value;
-        if (spec.log_scale) {
-          lo = std::log(std::max(lo, 1e-12));
-          hi = std::log(std::max(hi, 1e-12));
-          v = std::log(std::max(v, 1e-12));
-        }
-        out.push_back(hi > lo ? std::clamp((v - lo) / (hi - lo), 0.0, 1.0)
-                              : 0.0);
-        break;
-      }
-      case ParamType::kCategorical: {
-        const std::string c = config.GetChoice(spec.name, spec.default_choice);
-        const auto it =
-            std::find(spec.choices.begin(), spec.choices.end(), c);
-        out.push_back(it == spec.choices.end()
-                          ? 0.0
-                          : static_cast<double>(it - spec.choices.begin()));
-        break;
-      }
-    }
+    out.push_back(
+        EncodeValue(spec, ValueOf(spec, config), IsActive(spec, config)));
   }
   return out;
+}
+
+uint64_t ParamSpace::FiniteSize() const {
+  constexpr uint64_t kLimit = uint64_t{1} << 53;
+  uint64_t size = 1;
+  for (const auto& spec : specs_) {
+    uint64_t count = 0;
+    if (spec.type == ParamType::kCategorical) {
+      count = spec.choices.size();
+    } else if (spec.type == ParamType::kInt &&
+               spec.max_value >= spec.min_value) {
+      count = static_cast<uint64_t>(spec.max_value - spec.min_value) + 1;
+    }
+    if (count == 0 || count > kLimit / size) return 0;
+    size *= count;
+  }
+  return size;
+}
+
+void ParamSpace::SampleRow(Rng* rng, double* row) const {
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    row[i] = SampleValue(specs_[i], rng);
+  }
+}
+
+void ParamSpace::NeighborRow(const double* base, double* out,
+                             Rng* rng) const {
+  std::copy(base, base + specs_.size(), out);
+  if (specs_.empty()) return;
+  const size_t i = rng->UniformInt(specs_.size());
+  out[i] = PerturbValue(specs_[i], base[i], rng);
+}
+
+void ParamSpace::EncodeRow(const double* row, double* out) const {
+  static const std::string kAbsent;
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    const ParamSpec& spec = specs_[i];
+    bool active = true;
+    if (!spec.parent.empty()) {
+      const int p = parent_index_[i];
+      const double code = p < 0 ? -1.0 : row[p];
+      active = ActiveUnder(
+          spec, code < 0.0 ? kAbsent
+                           : specs_[static_cast<size_t>(p)]
+                                 .choices[static_cast<size_t>(code)]);
+    }
+    out[i] = EncodeValue(spec, row[i], active);
+  }
+}
+
+std::vector<double> ParamSpace::ToRow(const ParamConfig& config) const {
+  std::vector<double> row(specs_.size());
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    row[i] = ValueOf(specs_[i], config);
+  }
+  return row;
+}
+
+ParamConfig ParamSpace::FromRow(const double* row) const {
+  ParamConfig config;
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    SetValue(specs_[i], row[i], &config);
+  }
+  return config;
+}
+
+void ParamSpace::LinkParents() {
+  parent_index_.assign(specs_.size(), -1);
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    if (specs_[i].parent.empty()) continue;
+    const ParamSpec* parent = Find(specs_[i].parent);
+    if (parent != nullptr && parent->type == ParamType::kCategorical) {
+      parent_index_[i] = static_cast<int>(parent - specs_.data());
+    }
+  }
 }
 
 ParamConfig ParamSpace::Repair(const ParamConfig& config) const {

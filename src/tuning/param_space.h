@@ -134,8 +134,38 @@ class ParamSpace {
   /// range; unknown keys are dropped.
   ParamConfig Repair(const ParamConfig& config) const;
 
+  /// Number of distinct configs when every spec is an int or a categorical:
+  /// the product of the int range sizes and the choice counts (inactive
+  /// conditionals still take values, so they count). 0 when the space has a
+  /// double spec or the count overflows.
+  uint64_t FiniteSize() const;
+
+  // Flat value rows: one double per spec, in spec order, holding the number,
+  // the integer, or the choice index (-1 for a choice outside the domain).
+  // SMAC's EI search samples, mutates and encodes candidates as rows and
+  // builds a ParamConfig only for the one it picks. Sample, Neighbor and
+  // Encode above run the same per-spec kernels, so a row and the config it
+  // converts to behave identically and draw the same random numbers.
+
+  /// Sample() as a row: writes NumParams() values to `row`.
+  void SampleRow(Rng* rng, double* row) const;
+  /// Neighbor() as a row: copies `base` to `out` and moves one value.
+  void NeighborRow(const double* base, double* out, Rng* rng) const;
+  /// Encode() of a row: writes NumParams() values to `out`.
+  void EncodeRow(const double* row, double* out) const;
+  /// The row of `config` (missing keys read as the spec's default).
+  std::vector<double> ToRow(const ParamConfig& config) const;
+  /// The config of `row`; ToRow(FromRow(row)) == row for in-domain rows.
+  ParamConfig FromRow(const double* row) const;
+
  private:
+  /// Recomputes parent_index_ after a spec or a condition was added.
+  void LinkParents();
+
   std::vector<ParamSpec> specs_;
+  /// Per spec: index of its parent categorical in specs_, or -1 when it has
+  /// no parent or the parent is not a declared categorical.
+  std::vector<int> parent_index_;
 };
 
 }  // namespace smartml

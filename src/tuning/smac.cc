@@ -23,52 +23,76 @@ namespace smartml {
 // RegressionForest
 // ---------------------------------------------------------------------------
 
-int RegressionForest::BuildNode(Tree* tree, const Matrix& x,
-                                const std::vector<double>& y,
-                                const std::vector<size_t>& rows, int depth,
-                                Rng* rng) const {
+// One fit's scratch, reused by every tree and node. Row ids are uint32_t:
+// a surrogate trains on evaluated configs, far fewer than 2^32.
+struct RegressionForest::Workspace {
+  size_t n = 0;
+  size_t d = 0;
+  const std::vector<double>* y = nullptr;
+  std::vector<double> xt;          // Column-major copy: xt[f * n + r].
+  std::vector<uint32_t> presorted;  // Per feature: rows 0..n-1 by (x, y).
+  // Per feature: the tree's bootstrap rows (with repeats) in (x, y) order.
+  // A node owns the same range [lo, hi) of every feature's array.
+  std::vector<uint32_t> sorted;
+  std::vector<uint32_t> order;  // The tree's bootstrap rows in draw order.
+  std::vector<uint32_t> spill;  // Right-hand rows staged by a partition.
+  std::vector<uint32_t> counts;  // Bootstrap multiplicity per row.
+  std::vector<char> goes_left;   // Per row, at the split being applied.
+  std::vector<size_t> features;  // Feature subset scratch.
+};
+
+// Identical to growing each node from its bootstrap rows with a sort per
+// feature: the node mean and SSE are summed over `order`, which keeps the
+// bootstrap draw order under stable partitions; each feature's range is
+// its rows in (x, y) order, where rows with equal (x, y) are
+// interchangeable, so the prefix sums, boundaries and strict-`>` winner
+// are those of the sorted pairs; and the RNG draws one shuffle per split
+// candidate node, depth-first, left first.
+int RegressionForest::BuildNode(Tree* tree, Workspace* ws, size_t lo,
+                                size_t hi, int depth, Rng* rng) const {
   const int index = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
+  const std::vector<double>& y = *ws->y;
+  const size_t n = ws->n, d = ws->d, m = hi - lo;
+  const uint32_t* rows = ws->order.data() + lo;
   double sum = 0.0;
-  for (size_t r : rows) sum += y[r];
-  const double mean = sum / static_cast<double>(rows.size());
+  for (size_t i = 0; i < m; ++i) sum += y[rows[i]];
+  const double mean = sum / static_cast<double>(m);
   tree->nodes.back().value = mean;
 
-  if (depth >= options_.max_depth || rows.size() < 2 * options_.min_leaf) {
+  if (depth >= options_.max_depth || m < 2 * options_.min_leaf) {
     return index;
   }
   double sse = 0.0;
-  for (size_t r : rows) sse += (y[r] - mean) * (y[r] - mean);
+  for (size_t i = 0; i < m; ++i) {
+    sse += (y[rows[i]] - mean) * (y[rows[i]] - mean);
+  }
   if (sse < 1e-14) return index;
 
   // Random feature subset.
-  const size_t d = x.cols();
-  std::vector<size_t> features(d);
+  std::vector<size_t>& features = ws->features;
   std::iota(features.begin(), features.end(), size_t{0});
   rng->Shuffle(&features);
-  const size_t take = std::max<size_t>(
-      1, static_cast<size_t>(options_.feature_fraction *
-                             static_cast<double>(d)));
-  features.resize(take);
+  const size_t take = std::min(
+      d, std::max<size_t>(1, static_cast<size_t>(options_.feature_fraction *
+                                                 static_cast<double>(d))));
 
   double best_gain = 0.0;
   int best_feature = -1;
   double best_threshold = 0.0;
-  std::vector<std::pair<double, double>> vals(rows.size());  // (x, y)
-  for (size_t f : features) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      vals[i] = {x(rows[i], f), y[rows[i]]};
-    }
-    std::sort(vals.begin(), vals.end());
+  for (size_t k = 0; k < take; ++k) {
+    const size_t f = features[k];
+    const double* col = ws->xt.data() + f * n;
+    const uint32_t* sorted = ws->sorted.data() + f * n + lo;
     double left_sum = 0.0, left_sq = 0.0;
     double right_sum = 0.0, right_sq = 0.0;
-    for (const auto& [xv, yv] : vals) {
+    for (size_t i = 0; i < m; ++i) {
+      const double yv = y[sorted[i]];
       right_sum += yv;
       right_sq += yv * yv;
     }
-    const size_t n = vals.size();
-    for (size_t i = 0; i + 1 < n; ++i) {
-      const double yv = vals[i].second;
+    for (size_t i = 0; i + 1 < m; ++i) {
+      const double yv = y[sorted[i]];
       left_sum += yv;
       left_sq += yv * yv;
       right_sum -= yv;
@@ -76,8 +100,9 @@ int RegressionForest::BuildNode(Tree* tree, const Matrix& x,
       // Only boundaries between distinct values are candidates (exact
       // equality; SplitMidpoint below guarantees a threshold exists for any
       // two distinct doubles).
-      if (vals[i].first == vals[i + 1].first) continue;
-      const size_t nl = i + 1, nr = n - nl;
+      const double xv = col[sorted[i]], x_next = col[sorted[i + 1]];
+      if (xv == x_next) continue;
+      const size_t nl = i + 1, nr = m - nl;
       if (nl < options_.min_leaf || nr < options_.min_leaf) continue;
       const double sse_l = left_sq - left_sum * left_sum /
                                          static_cast<double>(nl);
@@ -89,47 +114,103 @@ int RegressionForest::BuildNode(Tree* tree, const Matrix& x,
         best_feature = static_cast<int>(f);
         // Clamped so the threshold never rounds up onto the right child's
         // value (which would misroute those rows at predict time).
-        best_threshold = SplitMidpoint(vals[i].first, vals[i + 1].first);
+        best_threshold = SplitMidpoint(xv, x_next);
       }
     }
   }
   if (best_feature < 0) return index;
 
-  std::vector<size_t> left_rows, right_rows;
-  for (size_t r : rows) {
-    if (x(r, static_cast<size_t>(best_feature)) <= best_threshold) {
-      left_rows.push_back(r);
-    } else {
-      right_rows.push_back(r);
-    }
+  const double* split_col =
+      ws->xt.data() + static_cast<size_t>(best_feature) * n;
+  size_t n_left = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const bool left = split_col[rows[i]] <= best_threshold;
+    ws->goes_left[rows[i]] = left;
+    n_left += left;
   }
-  if (left_rows.empty() || right_rows.empty()) return index;
+  if (n_left == 0 || n_left == m) return index;
+  // Stable partition of [lo, hi) of every array: left rows first. Branch
+  // free (a row is written to both sides, and only its side advances),
+  // since which side a row goes to is a coin flip to the predictor.
+  const char* goes_left = ws->goes_left.data();
+  uint32_t* spill = ws->spill.data();
+  auto partition = [goes_left, spill, m](uint32_t* a) {
+    size_t w = 0, spilled = 0;
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t r = a[i];
+      const size_t left = static_cast<size_t>(goes_left[r]);
+      a[w] = r;
+      spill[spilled] = r;
+      w += left;
+      spilled += 1 - left;
+    }
+    std::copy(spill, spill + spilled, a + w);
+  };
+  partition(ws->order.data() + lo);
+  for (size_t f = 0; f < d; ++f) partition(ws->sorted.data() + f * n + lo);
 
   tree->nodes[static_cast<size_t>(index)].leaf = false;
   tree->nodes[static_cast<size_t>(index)].feature = best_feature;
   tree->nodes[static_cast<size_t>(index)].threshold = best_threshold;
-  const int left = BuildNode(tree, x, y, left_rows, depth + 1, rng);
+  const int left = BuildNode(tree, ws, lo, lo + n_left, depth + 1, rng);
   tree->nodes[static_cast<size_t>(index)].left = left;
-  const int right = BuildNode(tree, x, y, right_rows, depth + 1, rng);
+  const int right = BuildNode(tree, ws, lo + n_left, hi, depth + 1, rng);
   tree->nodes[static_cast<size_t>(index)].right = right;
   return index;
 }
 
 Status RegressionForest::Fit(const Matrix& x, const std::vector<double>& y,
                              const Options& options) {
-  if (x.rows() == 0 || x.rows() != y.size()) {
+  if (x.rows() == 0 || x.rows() != y.size() ||
+      x.rows() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("RegressionForest: bad training shape");
   }
   options_ = options;
   dim_ = x.cols();
   trees_.clear();
   trees_.resize(static_cast<size_t>(std::max(1, options.num_trees)));
+
+  Workspace ws;
+  const size_t n = x.rows(), d = x.cols();
+  ws.n = n;
+  ws.d = d;
+  ws.y = &y;
+  ws.xt.resize(n * d);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t f = 0; f < d; ++f) ws.xt[f * n + r] = x(r, f);
+  }
+  ws.presorted.resize(n * d);
+  for (size_t f = 0; f < d; ++f) {
+    const double* col = ws.xt.data() + f * n;
+    uint32_t* rows = ws.presorted.data() + f * n;
+    std::iota(rows, rows + n, uint32_t{0});
+    std::sort(rows, rows + n, [col, &y](uint32_t a, uint32_t b) {
+      return col[a] < col[b] || (col[a] == col[b] && y[a] < y[b]);
+    });
+  }
+  ws.sorted.resize(n * d);
+  ws.order.resize(n);
+  ws.spill.resize(n);
+  ws.counts.resize(n);
+  ws.goes_left.resize(n);
+  ws.features.resize(d);
+
   Rng rng(options.seed);
   for (auto& tree : trees_) {
     // Bootstrap sample.
-    std::vector<size_t> rows(x.rows());
-    for (size_t& r : rows) r = rng.UniformInt(x.rows());
-    BuildNode(&tree, x, y, rows, 0, &rng);
+    std::fill(ws.counts.begin(), ws.counts.end(), 0u);
+    for (uint32_t& r : ws.order) {
+      r = static_cast<uint32_t>(rng.UniformInt(n));
+      ++ws.counts[r];
+    }
+    for (size_t f = 0; f < d; ++f) {
+      const uint32_t* src = ws.presorted.data() + f * n;
+      uint32_t* dst = ws.sorted.data() + f * n;
+      for (size_t j = 0; j < n; ++j) {
+        dst = std::fill_n(dst, ws.counts[src[j]], src[j]);
+      }
+    }
+    BuildNode(&tree, &ws, 0, n, 0, &rng);
   }
   return Status::OK();
 }
@@ -145,11 +226,17 @@ double RegressionForest::PredictTree(const Tree& tree, const double* row) {
 
 RegressionForest::Prediction RegressionForest::Predict(
     const std::vector<double>& row) const {
+  if (row.size() != dim_) return Prediction{};
+  return Predict(row.data());
+}
+
+RegressionForest::Prediction RegressionForest::Predict(
+    const double* row) const {
   Prediction out;
-  if (trees_.empty() || row.size() != dim_) return out;
+  if (trees_.empty()) return out;
   double sum = 0.0, sum_sq = 0.0;
   for (const auto& tree : trees_) {
-    const double v = PredictTree(tree, row.data());
+    const double v = PredictTree(tree, row);
     sum += v;
     sum_sq += v * v;
   }
@@ -171,6 +258,7 @@ struct SmacMetrics {
   Counter* evaluations = nullptr;
   Counter* incumbent_improvements = nullptr;
   Histogram* surrogate_fit_seconds = nullptr;
+  Histogram* ei_seconds = nullptr;
 
   static const SmacMetrics& Get() {
     static const SmacMetrics metrics = [] {
@@ -185,6 +273,10 @@ struct SmacMetrics {
       m.surrogate_fit_seconds = registry.GetHistogram(
           "smartml_smac_surrogate_fit_seconds",
           "Latency of random-forest surrogate fits.", LatencyBuckets());
+      m.ei_seconds = registry.GetHistogram(
+          "smartml_smac_ei_seconds",
+          "Per-iteration EI candidate generation and scoring.",
+          LatencyBuckets());
       return m;
     }();
     return metrics;
@@ -202,6 +294,7 @@ double ExpectedImprovement(double mean, double variance, double f_best) {
 /// Bookkeeping for one configuration's fold evaluations.
 struct ConfigRecord {
   ParamConfig config;
+  std::vector<double> encoding;  // space.Encode(config), computed once.
   std::vector<double> fold_costs;  // Indexed by fold; NaN = unevaluated.
   double cost_sum = 0.0;
   size_t folds_evaluated = 0;
@@ -213,6 +306,10 @@ struct ConfigRecord {
   }
 };
 
+// EI candidates scored per claim of the run's pool: one candidate costs a
+// short encode and ten tree walks, so single-index claims would dominate.
+constexpr size_t kEiGrain = 32;
+
 class SmacRun {
  public:
   SmacRun(const ParamSpace& space, TuningObjective* objective,
@@ -221,7 +318,8 @@ class SmacRun {
         objective_(objective),
         options_(options),
         rng_(options.seed),
-        evaluations_left_(options.max_evaluations) {}
+        evaluations_left_(options.max_evaluations),
+        finite_size_(space.FiniteSize()) {}
 
   StatusOr<TunedResult> Run() {
     // Resume from a checkpoint when one exists; otherwise run the seed
@@ -250,7 +348,7 @@ class SmacRun {
 
     // Main loop. The snapshot at the loop top means a crash mid-iteration
     // redoes at most one iteration on resume.
-    while (!Exhausted()) {
+    while (!Exhausted() && !SpaceCovered()) {
       SaveCheckpoint();
       // Deepen the incumbent by one fold when possible (intensification).
       if (incumbent_ != kNone &&
@@ -285,6 +383,16 @@ class SmacRun {
 
   bool Exhausted() const {
     return evaluations_left_ <= 0 || options_.deadline.Expired();
+  }
+
+  // True once a finite space has every config evaluated on every fold:
+  // each further iteration could only propose duplicates and spend nothing.
+  bool SpaceCovered() const {
+    if (finite_size_ == 0 || records_.size() < finite_size_) return false;
+    for (const ConfigRecord& record : records_) {
+      if (record.folds_evaluated < objective_->NumFolds()) return false;
+    }
+    return true;
   }
 
   bool CheckpointEnabled() const {
@@ -388,6 +496,7 @@ class SmacRun {
       }
       record.folds_evaluated = folds;
       if (!CkptReadConfig(&in, &record.config)) return false;
+      record.encoding = space_.Encode(record.config);
       records.push_back(std::move(record));
     }
     if (!(in >> tag) || tag != "end") return false;
@@ -417,6 +526,7 @@ class SmacRun {
     if (it != index_.end()) return it->second;
     ConfigRecord record;
     record.config = config;
+    record.encoding = space_.Encode(config);
     record.fold_costs.assign(objective_->NumFolds(),
                              std::numeric_limits<double>::quiet_NaN());
     records_.push_back(std::move(record));
@@ -498,22 +608,6 @@ class SmacRun {
     return Status::OK();
   }
 
-  // Scores every candidate's expected improvement across the run's thread
-  // pool. Predict is const and deterministic per candidate, so execution
-  // order cannot change any score.
-  std::vector<double> ScoreEi(const RegressionForest& forest,
-                              const std::vector<ParamConfig>& candidates,
-                              double f_best) const {
-    std::vector<double> ei(candidates.size(), 0.0);
-    (void)ParallelFor(candidates.size(), [&](size_t i) -> Status {
-      const RegressionForest::Prediction p =
-          forest.Predict(space_.Encode(candidates[i]));
-      ei[i] = ExpectedImprovement(p.mean, p.variance, f_best);
-      return Status::OK();
-    });
-    return ei;
-  }
-
   // Builds the surrogate and proposes challengers by EI; interleaves uniform
   // random configs.
   std::vector<ParamConfig> SelectChallengers() {
@@ -521,20 +615,21 @@ class SmacRun {
     const int n_challengers = std::max(1, options_.challengers_per_iter);
 
     // Fit the surrogate on all evaluated configs.
-    std::vector<size_t> evaluated;
-    for (size_t i = 0; i < records_.size(); ++i) {
-      if (records_[i].folds_evaluated > 0) evaluated.push_back(i);
+    size_t n_evaluated = 0;
+    for (const ConfigRecord& record : records_) {
+      if (record.folds_evaluated > 0) ++n_evaluated;
     }
     RegressionForest forest;
     bool have_model = false;
-    if (evaluated.size() >= 4) {
-      Matrix x(evaluated.size(), space_.NumParams());
-      std::vector<double> y(evaluated.size());
-      for (size_t i = 0; i < evaluated.size(); ++i) {
-        const std::vector<double> enc =
-            space_.Encode(records_[evaluated[i]].config);
-        for (size_t j = 0; j < enc.size(); ++j) x(i, j) = enc[j];
-        y[i] = records_[evaluated[i]].MeanCost();
+    if (n_evaluated >= 4) {
+      Matrix x(n_evaluated, space_.NumParams());
+      std::vector<double> y(n_evaluated);
+      size_t i = 0;
+      for (const ConfigRecord& record : records_) {
+        if (record.folds_evaluated == 0) continue;
+        std::copy(record.encoding.begin(), record.encoding.end(),
+                  x.RowPtr(i));
+        y[i++] = record.MeanCost();
       }
       RegressionForest::Options fo = options_.forest;
       fo.seed = rng_.NextU64();
@@ -545,56 +640,91 @@ class SmacRun {
     const double f_best =
         incumbent_ == kNone ? 1.0 : records_[incumbent_].MeanCost();
 
+    ScopedTimer ei_timer(have_model ? SmacMetrics::Get().ei_seconds
+                                    : nullptr);
     for (int c = 0; c < n_challengers; ++c) {
       const bool random_pick =
           !have_model || (options_.random_interleave > 0 &&
                           (c % options_.random_interleave) ==
                               options_.random_interleave - 1);
-      if (random_pick) {
-        out.push_back(space_.Sample(&rng_));
-        continue;
-      }
-      // EI maximization: random candidates + local search around the best.
-      // Candidate generation keeps the historical RNG call order (one
-      // sample, ei_candidates samples, the incumbent's neighbor chain —
-      // the chain's cursor never depends on scores); scoring runs in
-      // parallel and a sequential argmax replays the original strict-`>`
-      // tie-breaking, so challengers are identical at any thread count.
-      ParamConfig best_candidate = space_.Sample(&rng_);
-      double best_ei = -1.0;
-      auto argmax = [&](const std::vector<ParamConfig>& candidates,
-                        const std::vector<double>& scores) {
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (scores[i] > best_ei) {
-            best_ei = scores[i];
-            best_candidate = candidates[i];
-          }
-        }
-      };
-      std::vector<ParamConfig> candidates;
-      for (int i = 0; i < options_.ei_candidates; ++i) {
-        candidates.push_back(space_.Sample(&rng_));
-      }
-      if (incumbent_ != kNone) {
-        ParamConfig cursor = records_[incumbent_].config;
-        for (int s = 0; s < options_.local_search_steps; ++s) {
-          cursor = space_.Neighbor(cursor, &rng_);
-          candidates.push_back(cursor);
-        }
-      }
-      argmax(candidates, ScoreEi(forest, candidates, f_best));
-      // The second local-search chain starts at the EI maximizer found so
-      // far, so it is generated (and scored) after the first argmax pass.
-      std::vector<ParamConfig> chain;
-      ParamConfig cursor = best_candidate;
-      for (int s = 0; s < options_.local_search_steps; ++s) {
-        cursor = space_.Neighbor(cursor, &rng_);
-        chain.push_back(cursor);
-      }
-      argmax(chain, ScoreEi(forest, chain, f_best));
-      out.push_back(best_candidate);
+      out.push_back(random_pick ? space_.Sample(&rng_)
+                                : MaximizeEi(forest, f_best));
     }
     return out;
+  }
+
+  // EI maximization: random candidates + local search around the best.
+  // Candidates are flat value rows of one matrix (ParamSpace::SampleRow and
+  // friends), and only the winner becomes a ParamConfig. Generation keeps
+  // the historical RNG call order (one fallback sample, ei_candidates
+  // samples, the incumbent's neighbour chain — whose cursor never depends
+  // on scores — then a chain from the maximizer so far); scoring runs in
+  // parallel and a sequential argmax replays the strict-`>` tie-breaking,
+  // so challengers are identical at any thread count.
+  ParamConfig MaximizeEi(const RegressionForest& forest, double f_best) {
+    const size_t d = space_.NumParams();
+    const auto samples =
+        static_cast<size_t>(std::max(0, options_.ei_candidates));
+    const auto steps =
+        static_cast<size_t>(std::max(0, options_.local_search_steps));
+    const size_t chains = incumbent_ != kNone ? 2 : 1;
+    const size_t n_rows = 1 + samples + chains * steps;
+    values_.resize(n_rows * d);
+    encoded_.resize(n_rows * d);
+    ei_.resize(n_rows);
+    auto row = [&](size_t i) { return values_.data() + i * d; };
+
+    for (size_t i = 0; i <= samples; ++i) space_.SampleRow(&rng_, row(i));
+    size_t next = samples + 1;
+    if (incumbent_ != kNone) {
+      const std::vector<double> start =
+          space_.ToRow(records_[incumbent_].config);
+      const double* cursor = start.data();
+      for (size_t s = 0; s < steps; ++s, ++next) {
+        space_.NeighborRow(cursor, row(next), &rng_);
+        cursor = row(next);
+      }
+    }
+    size_t best = 0;
+    double best_ei = -1.0;
+    auto argmax = [&](size_t begin, size_t end) {
+      ScoreEi(forest, begin, end, f_best);
+      for (size_t i = begin; i < end; ++i) {
+        if (ei_[i] > best_ei) {
+          best_ei = ei_[i];
+          best = i;
+        }
+      }
+    };
+    argmax(1, next);
+    // The second local-search chain starts at the EI maximizer found so
+    // far, so it is generated (and scored) after the first argmax pass.
+    const size_t chain_begin = next;
+    for (size_t s = 0, cursor = best; s < steps; ++s, ++next) {
+      space_.NeighborRow(row(cursor), row(next), &rng_);
+      cursor = next;
+    }
+    argmax(chain_begin, next);
+    return space_.FromRow(row(best));
+  }
+
+  // Encodes rows [begin, end) and scores their expected improvement across
+  // the run's thread pool. Each row is encoded and predicted on its own, so
+  // execution order cannot change any score.
+  void ScoreEi(const RegressionForest& forest, size_t begin, size_t end,
+               double f_best) {
+    if (begin == end) return;
+    const size_t d = space_.NumParams();
+    (void)ParallelForRanges(
+        end - begin, kEiGrain, [&](size_t lo, size_t hi) -> Status {
+          for (size_t i = begin + lo; i < begin + hi; ++i) {
+            double* enc = encoded_.data() + i * d;
+            space_.EncodeRow(values_.data() + i * d, enc);
+            const RegressionForest::Prediction p = forest.Predict(enc);
+            ei_[i] = ExpectedImprovement(p.mean, p.variance, f_best);
+          }
+          return Status::OK();
+        });
   }
 
   const ParamSpace& space_;
@@ -606,6 +736,12 @@ class SmacRun {
   std::map<std::string, size_t> index_;
   size_t incumbent_ = kNone;
   std::vector<double> trajectory_;
+  const uint64_t finite_size_;  // ParamSpace::FiniteSize(); 0 = infinite.
+  // EI candidate scratch, reused across iterations: flat value rows, their
+  // encodings, and their scores.
+  std::vector<double> values_;
+  std::vector<double> encoded_;
+  std::vector<double> ei_;
 };
 
 }  // namespace

@@ -27,6 +27,12 @@ namespace smartml {
 
 /// Random-forest regressor over encoded configurations — SMAC's surrogate.
 /// Exposed for testing and for the micro benchmarks.
+///
+/// Each tree is grown on a bootstrap sample with exact best-SSE splits over a
+/// random feature subset per node. Fit sorts every feature's rows by (x, y)
+/// once; a tree expands the bootstrap counts into per-feature sorted index
+/// arrays, a node is a range of them, and a split stably partitions every
+/// array, so no node sorts or allocates.
 class RegressionForest {
  public:
   struct Options {
@@ -47,6 +53,9 @@ class RegressionForest {
     double variance = 0.0;
   };
   Prediction Predict(const std::vector<double>& row) const;
+  /// Predict on the encoded values at `row`, as many as the training
+  /// matrix had columns (unchecked).
+  Prediction Predict(const double* row) const;
 
   bool fitted() const { return !trees_.empty(); }
 
@@ -61,9 +70,10 @@ class RegressionForest {
   struct Tree {
     std::vector<Node> nodes;
   };
+  struct Workspace;
 
-  int BuildNode(Tree* tree, const Matrix& x, const std::vector<double>& y,
-                const std::vector<size_t>& rows, int depth, Rng* rng) const;
+  int BuildNode(Tree* tree, Workspace* ws, size_t lo, size_t hi, int depth,
+                Rng* rng) const;
   static double PredictTree(const Tree& tree, const double* row);
 
   std::vector<Tree> trees_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/baselines/autoweka.h"
 #include "src/common/rng.h"
 #include "src/ml/registry.h"
 #include "src/tuning/param_space.h"
@@ -228,6 +229,56 @@ TEST_P(AlgorithmSpaceTest, EncodeIsStableWidth) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmSpaceTest,
                          testing::ValuesIn(AllAlgorithmNames()),
                          [](const auto& info) { return info.param; });
+
+TEST(ParamSpaceRowTest, RowOperationsMatchConfigOperations) {
+  // Every learner space plus the joint space: sampling, neighbour moves and
+  // encoding on rows draw the same numbers and give the same configs and
+  // encodings as the ParamConfig operations.
+  std::vector<ParamSpace> spaces;
+  for (const std::string& name : AllAlgorithmNames()) {
+    auto space = SpaceFor(name);
+    ASSERT_TRUE(space.ok());
+    spaces.push_back(*space);
+  }
+  auto joint = BuildCashSpace(AllAlgorithmNames());
+  ASSERT_TRUE(joint.ok());
+  spaces.push_back(*joint);
+  for (size_t s = 0; s < spaces.size(); ++s) {
+    const ParamSpace& space = spaces[s];
+    Rng config_rng(s + 1), row_rng(s + 1);
+    std::vector<double> row(space.NumParams()), next(space.NumParams());
+    std::vector<double> enc(space.NumParams());
+    ParamConfig config;
+    for (int i = 0; i < 200; ++i) {
+      if (i % 10 == 0) {
+        config = space.Sample(&config_rng);
+        space.SampleRow(&row_rng, row.data());
+      } else {
+        config = space.Neighbor(config, &config_rng);
+        space.NeighborRow(row.data(), next.data(), &row_rng);
+        row = next;
+      }
+      ASSERT_EQ(space.FromRow(row.data()), config) << s << " step " << i;
+      ASSERT_EQ(space.ToRow(config), row) << s << " step " << i;
+      space.EncodeRow(row.data(), enc.data());
+      ASSERT_EQ(space.Encode(config), enc) << s << " step " << i;
+    }
+    EXPECT_EQ(config_rng.NextU64(), row_rng.NextU64()) << s;
+  }
+}
+
+TEST(ParamSpaceRowTest, FiniteSizeCountsIntsAndChoices) {
+  EXPECT_EQ(SpaceFor("plsda")->FiniteSize(), 24u);
+  EXPECT_EQ(SpaceFor("knn")->FiniteSize(), 50u);
+  EXPECT_EQ(SpaceFor("lmt")->FiniteSize(), 116u);
+  EXPECT_EQ(MakeSpace().FiniteSize(), 0u);  // Has double specs.
+  ParamSpace conditional;
+  conditional.AddCategorical("mode", {"a", "b", "c"}, "a");
+  conditional.AddInt("k", -2, 2, 0);
+  conditional.Condition("k", "mode", {"b"});  // Inactive values still count.
+  EXPECT_EQ(conditional.FiniteSize(), 15u);
+  EXPECT_EQ(ParamSpace().FiniteSize(), 1u);
+}
 
 }  // namespace
 }  // namespace smartml

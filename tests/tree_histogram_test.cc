@@ -24,6 +24,7 @@
 #include "src/ml/boosting.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/forest.h"
+#include "src/ml/lmt.h"
 
 namespace smartml {
 namespace {
@@ -332,6 +333,61 @@ TEST(TreeHistogramTest, AccumulatedEnsembleProbaMatchesPerTreeSum) {
     expect_same(
         *deepboost.PredictProba(*data),
         PerTreeProbaSum(deepboost.trees(), &deepboost.alphas(), *data, k));
+  }
+}
+
+// The LMT prediction loop that walked every row twice (LeafIndexForRow, then
+// PredictProbaRow for the tree blend) with a vector per call, kept as the
+// oracle for the one-walk loop.
+std::vector<std::vector<double>> TwoWalkLmtProba(const LmtClassifier& lmt,
+                                                 const Dataset& data) {
+  const Matrix raw = data.ToRawMatrix();
+  const Matrix x = *lmt.encoder().Transform(data);
+  std::vector<std::vector<double>> out(data.NumRows());
+  for (size_t r = 0; r < data.NumRows(); ++r) {
+    const int leaf = lmt.tree().LeafIndexForRow(raw.RowPtr(r));
+    const auto it = lmt.leaf_models().find(leaf);
+    if (it != lmt.leaf_models().end()) {
+      std::vector<double> lr = it->second.PredictProbaRow(x.RowPtr(r));
+      const std::vector<double> tp = lmt.tree().PredictProbaRow(raw.RowPtr(r));
+      for (size_t k = 0; k < lr.size(); ++k) {
+        lr[k] = 0.8 * lr[k] + 0.2 * tp[k];
+      }
+      out[r] = std::move(lr);
+    } else if (lmt.root_model().fitted()) {
+      std::vector<double> lr = lmt.root_model().PredictProbaRow(x.RowPtr(r));
+      const std::vector<double> tp = lmt.tree().PredictProbaRow(raw.RowPtr(r));
+      for (size_t k = 0; k < lr.size(); ++k) {
+        lr[k] = 0.5 * lr[k] + 0.5 * tp[k];
+      }
+      out[r] = std::move(lr);
+    } else {
+      out[r] = lmt.tree().PredictProbaRow(raw.RowPtr(r));
+    }
+  }
+  return out;
+}
+
+TEST(TreeHistogramTest, OneWalkLmtProbaMatchesTwoWalkLoop) {
+  for (const int64_t m : {5, 15, 40}) {
+    const Dataset train = GridDataset(91 + static_cast<uint64_t>(m), 0.1, 2);
+    const Dataset test = GridDataset(92 + static_cast<uint64_t>(m), 0.1, 2);
+    ParamConfig config;
+    config.SetInt("M", m);
+    LmtClassifier lmt;
+    ASSERT_TRUE(lmt.Fit(train, config).ok());
+    if (m == 5) {
+      ASSERT_GT(lmt.NumLeafModels(), 0u);
+    }
+    for (const Dataset* data : {&train, &test}) {
+      const auto got = lmt.PredictProba(*data);
+      ASSERT_TRUE(got.ok());
+      const auto want = TwoWalkLmtProba(lmt, *data);
+      ASSERT_EQ(got->size(), want.size());
+      for (size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ((*got)[r], want[r]) << "M " << m << " row " << r;
+      }
+    }
   }
 }
 
