@@ -7,11 +7,12 @@
 //   kb_tool merge  out.txt in1.txt in2...  merge (best-per-algorithm wins)
 //   kb_tool query  kb.txt mf.txt [K]       nominate algorithms for the
 //                                          25 meta-features in mf.txt
-//   kb_tool json   kb.txt                  dump as JSON
+//   kb_tool json   kb.txt                  dump as JSON (the export format)
 //   kb_tool seed   kb.txt [N]              write a synthetic N-record KB
 //                                          (scripted durability smoke tests)
-//   kb_tool convert IN OUT [text|binary]   re-encode between the legacy text
-//                                          format and the binary snapshot
+//   kb_tool convert IN OUT [binary]        migrate a legacy text KB (or any
+//                                          readable KB) to the binary
+//                                          snapshot; text is import-only
 //   kb_tool compact KB [EPSILON [MAX]]     merge near-duplicates, cap size
 #include <algorithm>
 #include <cstdio>
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
                  "       kb_tool merge OUT IN1 [IN2 ...]\n"
                  "       kb_tool query KB METAFEATURES_FILE [K]\n"
                  "       kb_tool seed OUT [N]\n"
-                 "       kb_tool convert IN OUT [text|binary]\n"
+                 "       kb_tool convert IN OUT [binary]\n"
                  "       kb_tool compact KB [EPSILON [MAX_RECORDS]]\n");
     return 2;
   }
@@ -139,26 +140,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "convert needs IN and OUT\n");
       return 2;
     }
-    // Input format is sniffed by LoadFromFile; only the output format is a
-    // choice. Default binary — the migration direction for existing text KBs.
-    KbFileFormat format = KbFileFormat::kBinary;
-    if (argc > 4) {
-      const std::string requested = argv[4];
-      if (requested == "text") {
-        format = KbFileFormat::kText;
-      } else if (requested != "binary") {
-        std::fprintf(stderr, "unknown format '%s' (want text|binary)\n",
-                     requested.c_str());
-        return 2;
-      }
+    // Input format is sniffed by LoadFromFile; the output is always the
+    // binary snapshot (text is an import format only).
+    if (argc > 4 && std::string(argv[4]) != "binary") {
+      std::fprintf(stderr,
+                   "unknown format '%s': convert writes only binary "
+                   "(use `kb_tool json` to export)\n",
+                   argv[4]);
+      return 2;
     }
-    const Status status = kb->SaveToFile(argv[3], format);
+    const Status status = kb->SaveToFile(argv[3]);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s with %zu records (%s)\n", argv[3], kb->NumRecords(),
-                format == KbFileFormat::kBinary ? "binary snapshot" : "text");
+    std::printf("wrote %s with %zu records (binary snapshot)\n", argv[3],
+                kb->NumRecords());
     return 0;
   }
   if (command == "compact") {

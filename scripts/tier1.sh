@@ -60,6 +60,11 @@ case "$SANITIZE" in
     "$BUILD_DIR"/tests/recovery_test
     ;;
   *)
+    # The restart tests each tear a JobManager down around a running blocker
+    # job; repeat them so a return of a shutdown/dispatch race fails the gate
+    # instead of passing on a lucky schedule.
+    (cd "$BUILD_DIR" && ctest -R RecoveryTest --repeat until-fail:5 \
+      --output-on-failure -j"$(nproc)")
     # Live-server smokes: /v1/metrics must serve valid Prometheus exposition
     # with the request counter advancing and the span tree attached to a
     # completed run, and the multi-tenant surface (batch admission, quota

@@ -785,8 +785,8 @@ void JobManager::WorkerLoop() {
     // budget carries the job's cancel token so DELETE /v1/runs/{id} can
     // interrupt the run cooperatively, and the event scope routes the
     // pipeline's phase/incumbent events into the job's SSE buffer. The
-    // checkpoint sink (when durability is on) lets the tuners persist their
-    // state under "<job id>/..." keys and resume after a restart.
+    // checkpoint sink (when durability is on) lets SMAC persist its state
+    // under "<job id>/..." keys and resume after a restart.
     RunBudget budget;
     budget.token = job->cancel;
     budget.checkpoint = checkpoints_.get();

@@ -58,7 +58,7 @@ struct RunBudget {
   std::shared_ptr<CancelToken> token;  ///< May be null (uncancellable run).
 
   /// Optional checkpoint store for resumable tuning (null = no durability).
-  /// Threaded by JobManager into SmartML::Run; the tuners write their search
+  /// Threaded by JobManager into SmartML::Run; SMAC writes its search
   /// state under keys prefixed with `checkpoint_scope` (the job id), so a
   /// recovered run finds its own checkpoints and a finished job's keys can
   /// be removed by prefix. Non-owning: the sink outlives the run.

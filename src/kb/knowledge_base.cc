@@ -47,8 +47,7 @@ struct KbMetrics {
   Counter* lookups_linear = nullptr;
   Histogram* snapshot_load_seconds = nullptr;
   Gauge* snapshot_bytes = nullptr;
-  Counter* snapshot_saves_binary = nullptr;
-  Counter* snapshot_saves_text = nullptr;
+  Counter* snapshot_saves = nullptr;
   Counter* snapshot_loads_binary = nullptr;
   Counter* snapshot_loads_text = nullptr;
   Counter* snapshot_sections_salvaged = nullptr;
@@ -106,12 +105,9 @@ struct KbMetrics {
       m.snapshot_bytes = registry.GetGauge(
           "smartml_kb_snapshot_bytes",
           "Size of the last knowledge-base file saved or loaded.");
-      m.snapshot_saves_binary = registry.GetCounter(
+      m.snapshot_saves = registry.GetCounter(
           "smartml_kb_snapshot_saves_total",
           "Knowledge-base saves by on-disk format.", {{"format", "binary"}});
-      m.snapshot_saves_text = registry.GetCounter(
-          "smartml_kb_snapshot_saves_total",
-          "Knowledge-base saves by on-disk format.", {{"format", "text"}});
       m.snapshot_loads_binary = registry.GetCounter(
           "smartml_kb_snapshot_loads_total",
           "Knowledge-base loads by on-disk format.", {{"format", "binary"}});
@@ -843,19 +839,14 @@ StatusOr<KnowledgeBase> KnowledgeBase::DeserializeSalvage(
   return ParseKbBody(bytes, /*lenient=*/true, skipped);
 }
 
-Status KnowledgeBase::SaveToFile(const std::string& path,
-                                 KbFileFormat format) const {
-  const std::string payload = format == KbFileFormat::kBinary
-                                  ? EncodeKbSnapshot(SnapshotRecords())
-                                  : Serialize();
+Status KnowledgeBase::SaveToFile(const std::string& path) const {
+  const std::string payload = EncodeKbSnapshot(SnapshotRecords());
   const Status status =
       AtomicWriteFile(path, payload, "kb_save_crash", "kb_rename_fail");
   if (status.ok()) {
     const KbMetrics& metrics = KbMetrics::Get();
     metrics.snapshot_bytes->Set(static_cast<int64_t>(payload.size()));
-    (format == KbFileFormat::kBinary ? metrics.snapshot_saves_binary
-                                     : metrics.snapshot_saves_text)
-        ->Increment();
+    metrics.snapshot_saves->Increment();
   }
   return status;
 }

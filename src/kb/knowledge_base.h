@@ -108,12 +108,6 @@ enum class KbLookupStrategy {
   kKdTree,
 };
 
-/// On-disk representation for SaveToFile.
-enum class KbFileFormat {
-  kBinary,  ///< Versioned snapshot (magic, crc per section). The default.
-  kText,    ///< Legacy line-oriented format, kept for interchange.
-};
-
 /// Point-in-time description of the lookup index (surfaced in /v1/health).
 struct KbIndexStats {
   KbLookupStrategy strategy = KbLookupStrategy::kAuto;
@@ -211,7 +205,8 @@ class KnowledgeBase {
 
   /// Text serialization (versioned, line oriented) with a trailing
   /// "crc32 <8 hex digits>" integrity line covering everything before it.
-  /// This is the interchange format; SaveToFile writes the binary snapshot.
+  /// This is the import format (data/seed_kb.txt, test fixtures);
+  /// SaveToFile writes only the binary snapshot.
   std::string Serialize() const;
 
   /// Strict parse of either format: binary snapshots are detected by their
@@ -230,9 +225,8 @@ class KnowledgeBase {
   /// Crash-safe save: write `path`.tmp, fsync, keep the previous file as
   /// `path`.bak, atomically rename into place. A crash at any point leaves
   /// either the old file or the new file loadable (never a torn `path`).
-  /// Writes the binary snapshot by default; pass kText for interchange.
-  Status SaveToFile(const std::string& path,
-                    KbFileFormat format = KbFileFormat::kBinary) const;
+  /// Always writes the binary snapshot.
+  Status SaveToFile(const std::string& path) const;
 
   /// Load with recovery: verifies checksums (per section for binary
   /// snapshots, the trailing crc line for text); on a torn/corrupt file it

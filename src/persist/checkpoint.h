@@ -1,12 +1,12 @@
 // Checkpoint storage for resumable tuning runs.
 //
-// A CheckpointSink is a tiny blob store keyed by opaque strings. Tuners
-// (SMAC, genetic, random search) periodically serialize their search state
-// through it so a run interrupted by a crash or restart can continue from
-// the last checkpoint instead of starting over. The sink is deliberately
-// dumb — put/get/remove — so the serialization format stays owned by each
-// tuner and the store can be swapped (file-backed in the server, in-memory
-// in tests).
+// A CheckpointSink is a tiny blob store keyed by opaque strings. SMAC (the
+// tuner a served run uses) periodically serializes its search state through
+// it so a run interrupted by a crash or restart can continue from the last
+// checkpoint instead of starting over. The sink is deliberately dumb —
+// put/get/remove — so the serialization format stays owned by the tuner
+// and the store can be swapped (file-backed in the server, in-memory in
+// tests).
 //
 // FileCheckpointStore follows the PR 3 crash-safety discipline: every Put
 // writes a tmp file, fsyncs, and renames into place, and every blob carries

@@ -1,8 +1,7 @@
 // Token-stream codec for tuner checkpoint blobs.
 //
-// The three tuners (SMAC, random search, genetic) serialize their search
-// state into whitespace-separated token streams. Two requirements shape the
-// format:
+// SMAC, the only tuner a served run uses, serializes its search state into
+// a whitespace-separated token stream. Two requirements shape the format:
 //
 //   1. Exactness. Resume must be bit-identical for SMAC's deterministic EI
 //      path, so doubles are encoded as C99 hexfloats ("%a") which round-trip

@@ -1,16 +1,11 @@
 #include "src/tuning/genetic.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <set>
-#include <sstream>
 
-#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
-#include "src/persist/checkpoint.h"
-#include "src/tuning/checkpoint_codec.h"
 #include "src/tuning/parallel_eval.h"
 
 namespace smartml {
@@ -22,111 +17,6 @@ struct Individual {
   double fitness = 2.0;  // Mean fold cost; 2.0 = unevaluated sentinel.
   bool evaluated = false;
 };
-
-// The GA's checkpoint blob: RNG stream, remaining budget, best-so-far,
-// fitness cache and the current population. Saved at every generation
-// boundary; restored (all-or-nothing) before the first one.
-std::string SerializeGaState(const Rng& rng, int evaluations_left,
-                             const TunedResult& result,
-                             const std::map<std::string, double>& cache,
-                             const std::vector<Individual>& population) {
-  std::ostringstream out;
-  out << "ga-ckpt 1\n";
-  const std::array<uint64_t, 4> state = rng.State();
-  out << "rng " << state[0] << ' ' << state[1] << ' ' << state[2] << ' '
-      << state[3] << '\n';
-  out << "left " << evaluations_left << '\n';
-  out << "best " << CkptDouble(result.best_cost) << ' '
-      << result.num_evaluations << '\n';
-  CkptAppendConfig(result.best_config, &out);
-  out << "traj " << result.trajectory.size();
-  for (const double v : result.trajectory) out << ' ' << CkptDouble(v);
-  out << '\n';
-  out << "cache " << cache.size() << '\n';
-  for (const auto& [key, fitness] : cache) {
-    out << CkptToken(key) << ' ' << CkptDouble(fitness) << '\n';
-  }
-  out << "population " << population.size() << '\n';
-  for (const Individual& individual : population) {
-    out << "ind " << CkptDouble(individual.fitness) << ' '
-        << (individual.evaluated ? 1 : 0) << '\n';
-    CkptAppendConfig(individual.config, &out);
-  }
-  out << "end\n";
-  return out.str();
-}
-
-bool RestoreGaState(const std::string& blob, Rng* rng, int* evaluations_left,
-                    TunedResult* result, std::map<std::string, double>* cache,
-                    std::vector<Individual>* population) {
-  std::istringstream in(blob);
-  std::string tag, token;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "ga-ckpt" || version != 1) {
-    return false;
-  }
-  std::array<uint64_t, 4> state{};
-  if (!(in >> tag) || tag != "rng") return false;
-  for (uint64_t& word : state) {
-    if (!(in >> word)) return false;
-  }
-  int left = 0;
-  if (!(in >> tag >> left) || tag != "left") return false;
-  TunedResult restored;
-  if (!(in >> tag >> token) || tag != "best" ||
-      !CkptParseDouble(token, &restored.best_cost) ||
-      !(in >> restored.num_evaluations)) {
-    return false;
-  }
-  if (!CkptReadConfig(&in, &restored.best_config)) return false;
-  size_t n_traj = 0;
-  if (!(in >> tag >> n_traj) || tag != "traj" || n_traj > 100000000) {
-    return false;
-  }
-  restored.trajectory.resize(n_traj);
-  for (double& v : restored.trajectory) {
-    if (!(in >> token) || !CkptParseDouble(token, &v)) return false;
-  }
-  size_t n_cache = 0;
-  if (!(in >> tag >> n_cache) || tag != "cache" || n_cache > 10000000) {
-    return false;
-  }
-  std::map<std::string, double> restored_cache;
-  for (size_t i = 0; i < n_cache; ++i) {
-    std::string key_token, key;
-    double fitness = 0.0;
-    if (!(in >> key_token >> token) || !CkptParseToken(key_token, &key) ||
-        !CkptParseDouble(token, &fitness)) {
-      return false;
-    }
-    restored_cache[key] = fitness;
-  }
-  size_t n_pop = 0;
-  if (!(in >> tag >> n_pop) || tag != "population" || n_pop > 1000000) {
-    return false;
-  }
-  std::vector<Individual> restored_pop;
-  restored_pop.reserve(n_pop);
-  for (size_t i = 0; i < n_pop; ++i) {
-    Individual individual;
-    int evaluated = 0;
-    if (!(in >> tag >> token >> evaluated) || tag != "ind" ||
-        !CkptParseDouble(token, &individual.fitness)) {
-      return false;
-    }
-    individual.evaluated = evaluated != 0;
-    if (!CkptReadConfig(&in, &individual.config)) return false;
-    restored_pop.push_back(std::move(individual));
-  }
-  if (!(in >> tag) || tag != "end") return false;
-  rng->SetState(state);
-  *evaluations_left = left;
-  restored.resumed = true;
-  *result = std::move(restored);
-  *cache = std::move(restored_cache);
-  *population = std::move(restored_pop);
-  return true;
-}
 
 // Parameter-wise uniform crossover.
 ParamConfig Crossover(const ParamSpace& space, const ParamConfig& a,
@@ -189,17 +79,6 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
     population.push_back(std::move(individual));
   }
 
-  const bool use_checkpoint =
-      options.checkpoint != nullptr && !options.checkpoint_key.empty();
-  if (use_checkpoint) {
-    auto blob = options.checkpoint->Get(options.checkpoint_key);
-    if (blob.ok() && RestoreGaState(*blob, &rng, &evaluations_left, &result,
-                                    &cache, &population)) {
-      SMARTML_LOG_INFO << "genetic: resumed from checkpoint ("
-                       << result.num_evaluations << " evaluations done)";
-    }
-  }
-
   auto tournament = [&]() -> const Individual& {
     size_t best = rng.UniformInt(population.size());
     for (int t = 1; t < options.tournament_size; ++t) {
@@ -215,11 +94,6 @@ StatusOr<TunedResult> GeneticSearch(const ParamSpace& space,
   while (evaluations_left > 0 && !options.deadline.Expired()) {
     if (options.cancel != nullptr && options.cancel->IsCancelled()) {
       return Status::Cancelled("genetic: run cancelled");
-    }
-    if (use_checkpoint) {
-      (void)options.checkpoint->Put(
-          options.checkpoint_key,
-          SerializeGaState(rng, evaluations_left, result, cache, population));
     }
 
     // Plan (sequential): walk the population in order, reserving fold tasks

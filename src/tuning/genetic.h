@@ -1,7 +1,9 @@
 // Genetic-algorithm hyperparameter search — the optimization strategy behind
 // TPOT in the paper's Table 1 ("Genetic Programming, Pareto Optimization").
 // Included so the framework comparison benches can sweep all three optimizer
-// families (Bayesian / random / evolutionary) over the same spaces.
+// families (Bayesian / random / evolutionary) over the same spaces. The
+// served pipeline tunes with SMAC only, so the GA neither checkpoints nor
+// resumes.
 //
 // Classic generational GA over ParamConfigs: tournament selection, uniform
 // parameter-wise crossover, Neighbor-move mutation, elitism. Fitness is the
@@ -10,7 +12,7 @@
 #define SMARTML_TUNING_GENETIC_H_
 
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "src/common/cancellation.h"
 #include "src/common/stopwatch.h"
@@ -35,12 +37,6 @@ struct GeneticOptions {
   int elite = 2;  ///< Individuals copied unchanged into the next generation.
   /// Seed configurations injected into the initial population.
   std::vector<ParamConfig> initial_configs;
-  /// Optional checkpoint store (persist/checkpoint.h): the search snapshots
-  /// its RNG stream, budget, population, fitness cache and best-so-far at
-  /// every generation boundary and resumes from an existing snapshot.
-  /// Non-owning; nullptr disables checkpointing.
-  CheckpointSink* checkpoint = nullptr;
-  std::string checkpoint_key;
 };
 
 /// Runs the GA on `objective`, minimizing mean fold cost.

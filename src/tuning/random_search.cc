@@ -1,16 +1,11 @@
 #include "src/tuning/random_search.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <sstream>
 
-#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/persist/checkpoint.h"
-#include "src/tuning/checkpoint_codec.h"
 #include "src/tuning/parallel_eval.h"
 
 namespace smartml {
@@ -95,69 +90,6 @@ Status EvaluateBatch(const std::vector<ParamConfig>& batch,
   return Status::OK();
 }
 
-// Random search's checkpoint blob: RNG stream, remaining budget, seed
-// cursor, and the best-so-far result. Saved at every batch boundary;
-// restored (all-or-nothing) before the first one.
-std::string SerializeSearchState(const Rng& rng, int evaluations_left,
-                                 size_t next_seed, const TunedResult& result) {
-  std::ostringstream out;
-  out << "search-ckpt 1\n";
-  const std::array<uint64_t, 4> state = rng.State();
-  out << "rng " << state[0] << ' ' << state[1] << ' ' << state[2] << ' '
-      << state[3] << '\n';
-  out << "left " << evaluations_left << '\n';
-  out << "seedcursor " << next_seed << '\n';
-  out << "best " << CkptDouble(result.best_cost) << ' '
-      << result.num_evaluations << '\n';
-  CkptAppendConfig(result.best_config, &out);
-  out << "traj " << result.trajectory.size();
-  for (const double v : result.trajectory) out << ' ' << CkptDouble(v);
-  out << "\nend\n";
-  return out.str();
-}
-
-bool RestoreSearchState(const std::string& blob, Rng* rng,
-                        int* evaluations_left, size_t* next_seed,
-                        TunedResult* result) {
-  std::istringstream in(blob);
-  std::string tag, token;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "search-ckpt" || version != 1) {
-    return false;
-  }
-  std::array<uint64_t, 4> state{};
-  if (!(in >> tag) || tag != "rng") return false;
-  for (uint64_t& word : state) {
-    if (!(in >> word)) return false;
-  }
-  int left = 0;
-  if (!(in >> tag >> left) || tag != "left") return false;
-  size_t cursor = 0;
-  if (!(in >> tag >> cursor) || tag != "seedcursor") return false;
-  TunedResult restored;
-  if (!(in >> tag >> token) || tag != "best" ||
-      !CkptParseDouble(token, &restored.best_cost) ||
-      !(in >> restored.num_evaluations)) {
-    return false;
-  }
-  if (!CkptReadConfig(&in, &restored.best_config)) return false;
-  size_t n_traj = 0;
-  if (!(in >> tag >> n_traj) || tag != "traj" || n_traj > 100000000) {
-    return false;
-  }
-  restored.trajectory.resize(n_traj);
-  for (double& v : restored.trajectory) {
-    if (!(in >> token) || !CkptParseDouble(token, &v)) return false;
-  }
-  if (!(in >> tag) || tag != "end") return false;
-  rng->SetState(state);
-  *evaluations_left = left;
-  *next_seed = cursor;
-  restored.resumed = true;
-  *result = std::move(restored);
-  return true;
-}
-
 }  // namespace
 
 StatusOr<TunedResult> RandomSearch(const ParamSpace& space,
@@ -178,27 +110,10 @@ StatusOr<TunedResult> RandomSearch(const ParamSpace& space,
   seeds.push_back(space.DefaultConfig());
   size_t next_seed = 0;
 
-  const bool use_checkpoint =
-      options.checkpoint != nullptr && !options.checkpoint_key.empty();
-  if (use_checkpoint) {
-    auto blob = options.checkpoint->Get(options.checkpoint_key);
-    if (blob.ok() &&
-        RestoreSearchState(*blob, &rng, &evaluations_left, &next_seed,
-                           &result)) {
-      SMARTML_LOG_INFO << "random search: resumed from checkpoint ("
-                       << result.num_evaluations << " evaluations done)";
-    }
-  }
-
   const size_t batch_configs = BatchConfigs();
   while (evaluations_left > 0 && !options.deadline.Expired()) {
     if (options.cancel != nullptr && options.cancel->IsCancelled()) {
       return Status::Cancelled("search: run cancelled");
-    }
-    if (use_checkpoint) {
-      (void)options.checkpoint->Put(
-          options.checkpoint_key,
-          SerializeSearchState(rng, evaluations_left, next_seed, result));
     }
     std::vector<ParamConfig> batch;
     size_t planned = 0;

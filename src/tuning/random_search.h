@@ -1,10 +1,12 @@
 // Baseline hyperparameter optimizers: random search and grid search
 // (the strategies behind Google Vizier per the paper's related work).
+// They serve the comparison benches and the Auto-Weka-style baseline only;
+// the served pipeline tunes with SMAC, so neither checkpoints nor resumes.
 #ifndef SMARTML_TUNING_RANDOM_SEARCH_H_
 #define SMARTML_TUNING_RANDOM_SEARCH_H_
 
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "src/common/cancellation.h"
 #include "src/common/stopwatch.h"
@@ -25,13 +27,6 @@ struct SearchOptions {
   uint64_t seed = 1;
   /// Configurations to evaluate before any sampled ones (warm start).
   std::vector<ParamConfig> initial_configs;
-  /// Optional checkpoint store (persist/checkpoint.h): RandomSearch
-  /// snapshots its RNG stream, budget, seed cursor and best-so-far at every
-  /// batch boundary and resumes from an existing snapshot. Non-owning;
-  /// nullptr disables checkpointing. (GridSearch ignores these — its config
-  /// stream is position-determined, so a re-run is already deterministic.)
-  CheckpointSink* checkpoint = nullptr;
-  std::string checkpoint_key;
 };
 
 /// Uniform random search over the space; every config is scored on all folds

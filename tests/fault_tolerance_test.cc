@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -368,16 +369,36 @@ TEST_F(FaultTolerance, SaveLoadRoundTripWithChecksum) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultTolerance, TextSaveStillRoundTripsWithCrcLine) {
-  const std::string path = TempPath("kb_roundtrip_text");
-  KnowledgeBase kb = MakeKb(3);
-  ASSERT_TRUE(kb.SaveToFile(path, KbFileFormat::kText).ok());
-  const std::string text = ReadAll(path);
-  EXPECT_NE(text.find("\ncrc32 "), std::string::npos);
+// Text is an import format only (SaveToFile writes binary): a text KB such
+// as data/seed_kb.txt must load through the strict path, with its trailing
+// crc line checked.
+TEST_F(FaultTolerance, TextImportVerifiesCrcLine) {
+  const std::string path = TempPath("kb_import_text");
+  const std::string text = MakeKb(3).Serialize();
+  const size_t crc_at = text.find("\ncrc32 ");
+  ASSERT_NE(crc_at, std::string::npos);
+  WriteAll(path, text);
+  Counter* recoveries = GlobalMetrics().GetCounter(
+      "smartml_kb_recoveries_total",
+      "Knowledge-base loads that required salvage or .bak fallback.");
 
+  const uint64_t before = recoveries->Value();
   auto loaded = KnowledgeBase::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->NumRecords(), 3u);
+  EXPECT_EQ(recoveries->Value(), before) << "an intact text KB was salvaged";
+
+  // A crc line that no longer matches the body fails the strict parse, so
+  // the same records come back only through salvage.
+  std::string tampered = text;
+  char& digit = tampered[crc_at + std::strlen("\ncrc32 ")];
+  digit = digit == '0' ? '1' : '0';
+  WriteAll(path, tampered);
+  EXPECT_FALSE(KnowledgeBase::Deserialize(tampered).ok());
+  auto salvaged = KnowledgeBase::LoadFromFile(path);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+  EXPECT_EQ(salvaged->NumRecords(), 3u);
+  EXPECT_EQ(recoveries->Value(), before + 1);
   std::remove(path.c_str());
 }
 

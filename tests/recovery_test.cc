@@ -1,19 +1,21 @@
 // Crash-recovery tests: a JobManager pointed at a journal directory must
 // survive being torn down and rebuilt — terminal jobs stay pollable,
 // never-started jobs re-queue in submission order, cancellations land
-// terminal, idempotency keys keep working — and the tuners must resume from
-// their checkpoints bit-identically (SMAC) or at least losslessly for the
-// incumbent (random search, genetic).
+// terminal, idempotency keys keep working — and SMAC, the only tuner a
+// served run uses, must resume from its checkpoint bit-identically.
 //
 // ThreadSanitizer-friendly: one worker at most, and every cross-restart
-// assertion waits on JobManager::Wait rather than sleeping.
+// assertion waits on JobManager::Wait (or polls JobManager::Get) rather than
+// sleeping a fixed time.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,8 +26,6 @@
 #include "src/obs/metrics.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/journal.h"
-#include "src/tuning/genetic.h"
-#include "src/tuning/random_search.h"
 #include "src/tuning/smac.h"
 
 namespace smartml {
@@ -77,6 +77,28 @@ JobRequest BlockerRequest(double budget_seconds = 1.5) {
   request.run_options.time_budget_seconds = budget_seconds;
   request.run_options.max_evaluations = 0;
   return request;
+}
+
+// Submits a blocker and waits until the worker has taken it. A worker that
+// has marked a job running finishes it before ~JobManager joins, so the
+// blocker always reaches terminal before the "crash". Without the wait,
+// shutdown could find the blocker still queued, and the restarted manager
+// would re-run it next to the jobs under test.
+void SubmitRunningBlocker(JobManager* jobs) {
+  auto submitted = jobs->Submit(BlockerRequest());
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    auto snapshot = jobs->Get(*submitted);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    if (snapshot->state == JobState::kRunning) return;
+    ASSERT_EQ(snapshot->state, JobState::kQueued)
+        << "the blocker left the queue without being seen running";
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no worker took the blocker";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
 }
 
 // The bowl objective from tuning_test: deterministic per (config, fold), so
@@ -175,7 +197,7 @@ TEST(RecoveryTest, QueuedJobsReRunInSubmissionOrderAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(SubmitRunningBlocker(&jobs));
     for (int i = 0; i < 3; ++i) {
       auto submitted = jobs.Submit(FastRequest());
       ASSERT_TRUE(submitted.ok());
@@ -216,7 +238,7 @@ TEST(RecoveryTest, CancelledQueuedJobStaysCancelledAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(SubmitRunningBlocker(&jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;
@@ -239,7 +261,7 @@ TEST(RecoveryTest, CancelRequestWithoutTerminalLandsCancelled) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(SubmitRunningBlocker(&jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;
@@ -278,7 +300,7 @@ TEST(RecoveryTest, DispatchedJobReQueuesAndCompletesAfterRestart) {
   {
     SmartML framework;
     JobManager jobs(&framework, Durable(dir, 1));
-    ASSERT_TRUE(jobs.Submit(BlockerRequest()).ok());
+    ASSERT_NO_FATAL_FAILURE(SubmitRunningBlocker(&jobs));
     auto submitted = jobs.Submit(FastRequest());
     ASSERT_TRUE(submitted.ok());
     id = *submitted;
@@ -436,77 +458,6 @@ TEST(RecoveryTest, SmacResumeIsBitIdentical) {
     EXPECT_EQ(resumed->trajectory[i], reference->trajectory[i])
         << "trajectory diverged at evaluation " << i;
   }
-}
-
-TEST(RecoveryTest, RandomSearchResumeMatchesUninterruptedRun) {
-  const ParamSpace space = BowlSpace();
-  SearchOptions base;
-  base.max_evaluations = 30;
-  base.seed = 11;
-
-  BowlObjective reference_objective;
-  auto reference = RandomSearch(space, &reference_objective, base);
-  ASSERT_TRUE(reference.ok());
-
-  MemoryCheckpointStore store;
-  {
-    BowlObjective objective;
-    auto cancel = std::make_shared<CancelToken>();
-    CancelAfter crashing(&objective, 13, cancel);
-    SearchOptions options = base;
-    options.cancel = cancel;
-    options.checkpoint = &store;
-    options.checkpoint_key = "run-2/random/bowl";
-    auto interrupted = RandomSearch(space, &crashing, options);
-    ASSERT_FALSE(interrupted.ok());
-  }
-
-  BowlObjective objective;
-  SearchOptions options = base;
-  options.checkpoint = &store;
-  options.checkpoint_key = "run-2/random/bowl";
-  auto resumed = RandomSearch(space, &objective, options);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->best_config.ToString(), reference->best_config.ToString());
-  EXPECT_EQ(resumed->best_cost, reference->best_cost);
-  EXPECT_EQ(resumed->num_evaluations, reference->num_evaluations);
-}
-
-TEST(RecoveryTest, GeneticResumeMatchesUninterruptedRun) {
-  const ParamSpace space = BowlSpace();
-  GeneticOptions base;
-  base.max_evaluations = 48;
-  base.seed = 13;
-  base.population_size = 8;
-
-  BowlObjective reference_objective;
-  auto reference = GeneticSearch(space, &reference_objective, base);
-  ASSERT_TRUE(reference.ok());
-
-  MemoryCheckpointStore store;
-  {
-    BowlObjective objective;
-    auto cancel = std::make_shared<CancelToken>();
-    CancelAfter crashing(&objective, 21, cancel);
-    GeneticOptions options = base;
-    options.cancel = cancel;
-    options.checkpoint = &store;
-    options.checkpoint_key = "run-3/ga/bowl";
-    auto interrupted = GeneticSearch(space, &crashing, options);
-    ASSERT_FALSE(interrupted.ok());
-  }
-
-  BowlObjective objective;
-  GeneticOptions options = base;
-  options.checkpoint = &store;
-  options.checkpoint_key = "run-3/ga/bowl";
-  auto resumed = GeneticSearch(space, &objective, options);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->best_config.ToString(), reference->best_config.ToString());
-  EXPECT_EQ(resumed->best_cost, reference->best_cost);
-  EXPECT_EQ(resumed->num_evaluations, reference->num_evaluations);
 }
 
 TEST(RecoveryTest, CorruptCheckpointFallsBackToFreshRun) {

@@ -18,6 +18,7 @@
 #include "src/ml/plsda.h"
 #include "src/ml/registry.h"
 #include "src/obs/metrics.h"
+#include "src/tuning/genetic.h"
 #include "src/tuning/objective.h"
 #include "src/tuning/random_search.h"
 #include "src/tuning/smac.h"
@@ -871,6 +872,38 @@ const GoldenSearch kGoldenSearches[] = {
      "0x1.1450438dda224p-1"},
 };
 
+// Looks up (name, folds) in `table` and checks `result` against its digest;
+// the failure message carries the actual row, ready to paste.
+template <size_t N>
+void ExpectGolden(const GoldenSearch (&table)[N], const std::string& name,
+                  size_t folds, const TunedResult& result) {
+  uint64_t trajectory_hash = 14695981039346656037ULL;
+  for (const double v : result.trajectory) {
+    const uint64_t bits = Bits(v);
+    trajectory_hash = Fnv1a(trajectory_hash, &bits, sizeof(bits));
+  }
+  const std::string config = result.best_config.ToString();
+  const uint64_t config_hash =
+      Fnv1a(14695981039346656037ULL, config.data(), config.size());
+  char cost[64];
+  std::snprintf(cost, sizeof(cost), "%a", result.best_cost);
+  const GoldenSearch* golden = nullptr;
+  for (const GoldenSearch& g : table) {
+    if (name == g.space && folds == g.folds) golden = &g;
+  }
+  const std::string actual = StrFormat(
+      "{\"%s\", %zu, %zu, %zu, 0x%016llxULL, 0x%016llxULL, \"%s\"},",
+      name.c_str(), folds, result.num_evaluations, result.trajectory.size(),
+      static_cast<unsigned long long>(trajectory_hash),
+      static_cast<unsigned long long>(config_hash), cost);
+  ASSERT_NE(golden, nullptr) << "no golden for " << actual;
+  EXPECT_EQ(result.num_evaluations, golden->evaluations) << actual;
+  EXPECT_EQ(result.trajectory.size(), golden->trajectory_size) << actual;
+  EXPECT_EQ(trajectory_hash, golden->trajectory_hash) << actual;
+  EXPECT_EQ(config_hash, golden->config_hash) << actual;
+  EXPECT_STREQ(cost, golden->best_cost) << actual;
+}
+
 TEST(SmacGoldenTest, SearchesMatchRecordedTrajectories) {
   std::vector<std::pair<std::string, ParamSpace>> spaces;
   for (const std::string& name : AllAlgorithmNames()) {
@@ -894,36 +927,97 @@ TEST(SmacGoldenTest, SearchesMatchRecordedTrajectories) {
       options.seed = 1000 + 2 * s + folds;
       auto result = Smac(space, &objective, options);
       ASSERT_TRUE(result.ok()) << name;
-      uint64_t trajectory_hash = 14695981039346656037ULL;
-      for (const double v : result->trajectory) {
-        const uint64_t bits = Bits(v);
-        trajectory_hash = Fnv1a(trajectory_hash, &bits, sizeof(bits));
-      }
-      const std::string config = result->best_config.ToString();
-      const uint64_t config_hash =
-          Fnv1a(14695981039346656037ULL, config.data(), config.size());
-      char cost[64];
-      std::snprintf(cost, sizeof(cost), "%a", result->best_cost);
-      const GoldenSearch* golden = nullptr;
-      for (const GoldenSearch& g : kGoldenSearches) {
-        if (name == g.space && folds == g.folds) golden = &g;
-      }
-      const std::string actual = StrFormat(
-          "{\"%s\", %zu, %zu, %zu, 0x%016llxULL, 0x%016llxULL, \"%s\"},",
-          name.c_str(), folds, result->num_evaluations,
-          result->trajectory.size(),
-          static_cast<unsigned long long>(trajectory_hash),
-          static_cast<unsigned long long>(config_hash), cost);
-      ASSERT_NE(golden, nullptr) << "no golden for " << actual;
-      EXPECT_EQ(result->num_evaluations, golden->evaluations) << actual;
-      EXPECT_EQ(result->trajectory.size(), golden->trajectory_size) << actual;
-      EXPECT_EQ(trajectory_hash, golden->trajectory_hash) << actual;
-      EXPECT_EQ(config_hash, golden->config_hash) << actual;
-      EXPECT_STREQ(cost, golden->best_cost) << actual;
+      ExpectGolden(kGoldenSearches, name, folds, *result);
       ++checked;
     }
   }
   EXPECT_EQ(checked, 32u);
+}
+
+// Random search and the genetic tuner on the same synthetic landscapes. No
+// other test pins their trajectories, so a rework of either search loop must
+// reproduce these exactly (glibc libm, x86-64).
+const GoldenSearch kGoldenRandomSearches[] = {
+    {"svm", 1, 300, 300, 0x2378fe68538dbc29ULL, 0x29f0d2784cad1077ULL,
+     "0x1.2123e89b2b966p-2"},
+    {"svm", 3, 300, 300, 0xaae880157481a0c6ULL, 0x1fca915c9a95e591ULL,
+     "0x1.1a74da38257fdp-2"},
+    {"knn", 1, 33, 33, 0x5587a6faf816a5faULL, 0x716f50d648a3e8c0ULL,
+     "0x1.0f0f0f0f0f0f1p-2"},
+    {"knn", 3, 33, 33, 0x540832f312af31dcULL, 0x716f50d648a3e8c0ULL,
+     "0x1.148737bbe4146p-2"},
+    {"random_forest", 1, 300, 300, 0x958358343da22b1eULL, 0xb7dc1578dbf29e4eULL,
+     "0x1.489a873c63b45p-4"},
+    {"random_forest", 3, 300, 300, 0xe17daa59058e0588ULL, 0x0d03b8eaa90a3f26ULL,
+     "0x1.91968c3de6747p-4"},
+    {"c50", 1, 300, 300, 0xe51d2e8b61bb6abaULL, 0x67b1d0bdb3ce6bf1ULL,
+     "0x1.76f650d5a4cffp-2"},
+    {"c50", 3, 300, 300, 0xf2a34d6145f81e08ULL, 0x2d7d361dd451d1ceULL,
+     "0x1.7b053d0478485p-2"},
+    {"cash", 1, 300, 300, 0x0ca4a780fff593ccULL, 0xffdc126d6c09fc02ULL,
+     "0x1.18783f95058cap-1"},
+    {"cash", 3, 300, 300, 0x20bac456b99558d9ULL, 0xf3251c953d612905ULL,
+     "0x1.18569e9ad4275p-1"},
+};
+
+const GoldenSearch kGoldenGeneticSearches[] = {
+    {"svm", 1, 300, 300, 0x9f627cec2dd62e5eULL, 0x88d6304161839208ULL,
+     "0x1.c091e11c9ce6ep-3"},
+    {"svm", 3, 300, 300, 0x5048603c34b77544ULL, 0x014c370801a5af7aULL,
+     "0x1.cd1049f61ab83p-3"},
+    {"knn", 1, 33, 33, 0x2ffb55bf1811df3dULL, 0x716f50d648a3e8c0ULL,
+     "0x1.0f0f0f0f0f0f1p-2"},
+    {"knn", 3, 33, 33, 0x387792c3375ef841ULL, 0x716f50d648a3e8c0ULL,
+     "0x1.148737bbe4146p-2"},
+    {"random_forest", 1, 300, 300, 0x5e10b1d804667bfcULL, 0x82cbe80fa3c75e55ULL,
+     "0x1.1c40de31c2959p-4"},
+    {"random_forest", 3, 300, 300, 0xa3b6c70c6f994399ULL, 0x82cbe80fa3c75e55ULL,
+     "0x1.3f2f396b39ba7p-4"},
+    {"c50", 1, 300, 300, 0x9049e805aff82c0cULL, 0xcab5b100a697506dULL,
+     "0x1.76e9c455e4f47p-2"},
+    {"c50", 3, 300, 300, 0xe758bf25cf1e1551ULL, 0x314cf0f0256ae02fULL,
+     "0x1.7afc0c9b5ac6bp-2"},
+    {"cash", 1, 300, 300, 0xe8f6c7f6f5e4094aULL, 0xb5c1722dd3d71e60ULL,
+     "0x1.fdacb01937974p-2"},
+    {"cash", 3, 300, 300, 0x3e3ff74993182c0dULL, 0xbfe43eae115b4048ULL,
+     "0x1.22b62ab9f9391p-1"},
+};
+
+TEST(TunerGoldenTest, RandomAndGeneticSearchesMatchRecordedTrajectories) {
+  std::vector<std::pair<std::string, ParamSpace>> spaces;
+  for (const std::string name : {"svm", "knn", "random_forest", "c50"}) {
+    auto space = SpaceFor(name);
+    ASSERT_TRUE(space.ok());
+    spaces.emplace_back(name, *space);
+  }
+  auto joint = BuildCashSpace(AllAlgorithmNames());
+  ASSERT_TRUE(joint.ok());
+  spaces.emplace_back("cash", *joint);
+  size_t checked = 0;
+  for (size_t s = 0; s < spaces.size(); ++s) {
+    const auto& [name, space] = spaces[s];
+    const uint64_t finite = space.FiniteSize();
+    const int cap = finite == 0 ? 300 : static_cast<int>(finite * 2 / 3);
+    for (size_t folds : {size_t{1}, size_t{3}}) {
+      SyntheticSpaceObjective random_objective(folds);
+      SearchOptions random_options;
+      random_options.max_evaluations = cap;
+      random_options.seed = 2000 + 2 * s + folds;
+      auto random = RandomSearch(space, &random_objective, random_options);
+      ASSERT_TRUE(random.ok()) << name;
+      ExpectGolden(kGoldenRandomSearches, name, folds, *random);
+
+      SyntheticSpaceObjective genetic_objective(folds);
+      GeneticOptions genetic_options;
+      genetic_options.max_evaluations = cap;
+      genetic_options.seed = 3000 + 2 * s + folds;
+      auto genetic = GeneticSearch(space, &genetic_objective, genetic_options);
+      ASSERT_TRUE(genetic.ok()) << name;
+      ExpectGolden(kGoldenGeneticSearches, name, folds, *genetic);
+      checked += 2;
+    }
+  }
+  EXPECT_EQ(checked, 20u);
 }
 
 TEST(SmacTest, StopsOnceAFiniteSpaceIsCovered) {
