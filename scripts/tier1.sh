@@ -31,10 +31,16 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
 export TSAN_OPTIONS UBSAN_OPTIONS
 
 # SMARTML_CMAKE_ARGS lets CI inject extra configure flags (e.g. a ccache
-# compiler launcher) without teaching this script about each one.
+# compiler launcher) without teaching this script about each one. The plain
+# build treats every -Wall -Wextra warning as an error, so the tree stays
+# warning-free and a helper left without callers (-Wunused-function) fails
+# the gate. Sanitizer builds keep warnings as warnings: the instrumentation
+# can add its own.
+WERROR=""
+[ -z "$SANITIZE" ] && WERROR="-DCMAKE_COMPILE_WARNING_AS_ERROR=ON"
 # shellcheck disable=SC2086
 cmake -B "$BUILD_DIR" -S . ${SANITIZE:+-DSMARTML_SANITIZE="$SANITIZE"} \
-  ${SMARTML_CMAKE_ARGS:-}
+  ${WERROR} ${SMARTML_CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
 

@@ -52,25 +52,40 @@ inline double SquaredDistance(const double* a, const double* b, size_t n) {
 #endif
 }
 
-/// Words of a bin-occupancy mask: one bit per histogram slot 0..255 (every
-/// uint8_t bin code, the missing-bin slot included).
+/// Words of a narrow bin-occupancy mask: one bit per histogram slot 0..255,
+/// enough for a column of at most 255 value bins plus its missing slot. A
+/// wider column's mask has one bit per slot, ceil(slots / 64) words.
 inline constexpr size_t kBinMaskWords = 4;
 inline constexpr size_t kBinMaskSlots = 64 * kBinMaskWords;
 
 /// Scatters `n` training rows into per-bin class histograms: for each listed
 /// row r, adds w[r] to wsum[bin(r) * num_classes + y[r]], bumps cnt[bin(r)]
-/// and sets bit bin(r) of the kBinMaskWords-word mask `occupied`, so a caller
-/// can later visit (and re-zero) only the slots these rows touched. Codes
-/// equal to or above `num_bins` (the missing-bin code, 255) land in the
-/// overflow slot `num_bins`, so wsum must hold (num_bins + 1) * num_classes
-/// entries and cnt (num_bins + 1). The gather side (row indices, codes,
-/// labels, weights) is unrolled four-wide so the loads overlap; the scatter
-/// adds stay scalar because two lanes may hit the same bin.
-inline void AccumulateBinHistogram(const uint8_t* codes, const size_t* rows,
+/// and sets bit bin(r) of the occupancy mask `occupied`, so a caller can
+/// later visit (and re-zero) only the slots these rows touched. Codes equal
+/// to or above `num_bins` (the missing-bin code) land in the overflow slot
+/// `num_bins`, so wsum must hold (num_bins + 1) * num_classes entries, cnt
+/// (num_bins + 1) and `occupied` max(kBinMaskWords, ceil((num_bins + 1) /
+/// 64)) words. The gather side (row indices, codes, labels, weights) is
+/// unrolled four-wide so the loads overlap; the scatter adds stay scalar
+/// because two lanes may hit the same bin.
+inline void AccumulateBinHistogram(const uint16_t* codes, const size_t* rows,
                                    size_t n, const int* y, const double* w,
                                    size_t num_classes, size_t num_bins,
                                    double* wsum, uint32_t* cnt,
                                    uint64_t* occupied) {
+  if (num_bins >= kBinMaskSlots) {
+    // A wide column: folding a flag per slot would cost the column's slot
+    // count on every call, so each row sets its bit directly.
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = rows[i];
+      size_t b = codes[r];
+      if (b > num_bins) b = num_bins;
+      wsum[b * num_classes + static_cast<size_t>(y[r])] += w[r];
+      ++cnt[b];
+      occupied[b / 64] |= uint64_t{1} << (b % 64);
+    }
+    return;
+  }
   // Each row flags its slot in a byte map: one plain store, no dependence
   // between rows. The flags are folded into the mask at the end.
   uint8_t touched[kBinMaskSlots] = {};

@@ -7,7 +7,7 @@
 namespace smartml {
 
 BinnedColumns::Builder::Builder(size_t num_rows, size_t max_bins)
-    : num_rows_(num_rows), max_bins_(std::min(max_bins, kMaxBins)) {
+    : num_rows_(num_rows), max_bins_(std::min(max_bins, kMaxCodedBins)) {
   if (max_bins_ == 0) max_bins_ = 1;
 }
 
@@ -17,39 +17,50 @@ void BinnedColumns::Builder::AddNumericColumn(const double* values,
   col.categorical = false;
   col.codes.resize(num_rows_, kMissingBin);
 
-  // Sorted distinct present values with multiplicities.
-  std::vector<double> present;
+  // The present cells as (value, row), sorted by value: the runs of equal
+  // values give the bins, and one walk over the sorted cells gives every
+  // row its code.
+  std::vector<std::pair<double, size_t>> present;
   present.reserve(num_rows_);
   for (size_t r = 0; r < num_rows_; ++r) {
     const double v = values[r * stride];
-    if (!IsMissing(v)) present.push_back(v);
+    if (!IsMissing(v)) present.emplace_back(v, r);
   }
   if (present.empty()) {
     columns_.push_back(std::move(col));
     return;
   }
-  std::sort(present.begin(), present.end());
+  std::sort(present.begin(), present.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   // Collapse into (value, count) runs.
   std::vector<std::pair<double, size_t>> runs;
-  runs.emplace_back(present[0], 1);
+  runs.reserve(present.size());
+  runs.emplace_back(present[0].first, 1);
   for (size_t i = 1; i < present.size(); ++i) {
-    if (present[i] == runs.back().first) {
+    if (present[i].first == runs.back().first) {
       ++runs.back().second;
     } else {
-      runs.emplace_back(present[i], 1);
+      runs.emplace_back(present[i].first, 1);
     }
   }
 
+  // The bin of each run.
+  std::vector<uint16_t> run_bin(runs.size());
   if (runs.size() <= max_bins_) {
-    // Lossless: one bin per distinct value. Histogram split candidates are
-    // exactly the exact-mode candidate set (midpoints between adjacent
-    // distinct values).
+    // Lossless: one bin per distinct value, so the split candidates are
+    // every boundary between distinct values.
     col.lossless = true;
     col.num_bins = static_cast<uint16_t>(runs.size());
     col.thresholds.reserve(runs.size() - 1);
-    for (size_t b = 0; b + 1 < runs.size(); ++b) {
-      col.thresholds.push_back(SplitMidpoint(runs[b].first, runs[b + 1].first));
+    col.values.reserve(runs.size());
+    for (size_t b = 0; b < runs.size(); ++b) {
+      run_bin[b] = static_cast<uint16_t>(b);
+      col.values.push_back(runs[b].first);
+      if (b + 1 < runs.size()) {
+        col.thresholds.push_back(
+            SplitMidpoint(runs[b].first, runs[b + 1].first));
+      }
     }
   } else {
     // Greedy quantile binning: close a bin once it holds its share of the
@@ -60,6 +71,7 @@ void BinnedColumns::Builder::AddNumericColumn(const double* values,
     size_t bins_left = max_bins_;
     size_t in_bin = 0;
     for (size_t i = 0; i < runs.size(); ++i) {
+      run_bin[i] = static_cast<uint16_t>(bin_last_run.size());
       in_bin += runs[i].second;
       remaining -= runs[i].second;
       const size_t runs_after = runs.size() - i - 1;
@@ -84,14 +96,12 @@ void BinnedColumns::Builder::AddNumericColumn(const double* values,
     }
   }
 
-  // Row codes: first threshold >= v marks the row's bin (v <= thresholds[b]
-  // routes left of boundary b, matching the tree's split semantics).
-  for (size_t r = 0; r < num_rows_; ++r) {
-    const double v = values[r * stride];
-    if (IsMissing(v)) continue;
-    const auto it =
-        std::lower_bound(col.thresholds.begin(), col.thresholds.end(), v);
-    col.codes[r] = static_cast<uint8_t>(it - col.thresholds.begin());
+  // Row codes: a row's bin is its run's, so v <= thresholds[b] exactly
+  // when its code is <= b (the tree's split semantics).
+  size_t run = 0;
+  for (size_t i = 0; i < present.size(); ++i) {
+    if (i > 0 && present[i].first != present[i - 1].first) ++run;
+    col.codes[present[i].second] = run_bin[run];
   }
   columns_.push_back(std::move(col));
 }
@@ -102,16 +112,17 @@ void BinnedColumns::Builder::AddCategoricalColumn(const double* codes,
   BinnedColumn col;
   col.categorical = true;
   col.cardinality = cardinality;
-  col.num_bins = static_cast<uint16_t>(std::min(cardinality, kMaxBins));
-  col.lossless = cardinality <= kMaxBins;
+  col.num_bins = static_cast<uint16_t>(std::min(cardinality, kMaxCodedBins));
+  col.lossless = cardinality <= kMaxCodedBins;
   col.codes.resize(num_rows_, kMissingBin);
   for (size_t r = 0; r < num_rows_; ++r) {
     const double v = codes[r * stride];
     if (IsMissing(v)) continue;
     const auto code = static_cast<size_t>(v);
-    // Codes past the bin range stay on the missing bin; Validate() rejects
-    // them upstream and histogram_safe() flags the column.
-    if (code < col.num_bins) col.codes[r] = static_cast<uint8_t>(code);
+    // Codes past the bin range stay on the missing bin: Validate() rejects
+    // codes outside the dictionary upstream, and DecisionTree::Fit rejects
+    // a column whose dictionary is wider than the code range.
+    if (code < col.num_bins) col.codes[r] = static_cast<uint16_t>(code);
   }
   columns_.push_back(std::move(col));
 }
@@ -120,11 +131,6 @@ BinnedColumns BinnedColumns::Builder::Build() && {
   BinnedColumns out;
   out.num_rows_ = num_rows_;
   out.columns_ = std::move(columns_);
-  for (const auto& col : out.columns_) {
-    if (col.categorical && col.cardinality > kMaxBins) {
-      out.histogram_safe_ = false;
-    }
-  }
   return out;
 }
 

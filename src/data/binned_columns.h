@@ -1,14 +1,18 @@
-// Columnar binned view of a training table for histogram tree growth.
+// Columnar binned view of a training table for tree growth.
 //
 // A BinnedColumns holds, per feature, a contiguous column of per-row bin
-// codes (uint8_t) plus the split thresholds between adjacent bins. Numeric
-// features are quantile-binned into at most kMaxBins value bins (each
-// distinct value gets its own bin when the column has few enough, making
-// the binning lossless); categorical features reuse their category codes as
-// bin codes. Missing cells map to kMissingBin. The view is built once per
-// dataset (see Dataset::Binned()) and shared read-only by every tree grown
-// on that data — forests, bagging, boosting rounds, and PART's rule loop
-// all train on row-index subsets of the same view instead of copying rows.
+// codes (uint16_t) plus the split thresholds between adjacent bins. Numeric
+// features get one bin per distinct value when the column has at most
+// `max_bins` of them (the binning is then lossless) and are quantile-binned
+// into `max_bins` bins otherwise; categorical features get one bin per
+// category, their category codes serving as bin codes. Missing cells map to
+// kMissingBin. Every tree grows on such a view, and the view decides the
+// split granularity: Dataset::Binned() caps numeric columns at kMaxBins
+// quantile bins and is shared read-only by every tree grown on that data
+// (forests, bagging, boosting rounds and PART's rule loop train on row-index
+// subsets of it instead of copying rows), while a DecisionTree::Fit given no
+// view bins its matrix losslessly (up to kMaxCodedBins bins per column), so
+// its split search is the exact one.
 #ifndef SMARTML_DATA_BINNED_COLUMNS_H_
 #define SMARTML_DATA_BINNED_COLUMNS_H_
 
@@ -35,30 +39,39 @@ inline double SplitMidpoint(double lo, double hi) {
 /// One binned feature column.
 struct BinnedColumn {
   bool categorical = false;
-  /// Occupied value bins (missing excluded). Categorical: min(cardinality,
-  /// kMaxBins). Numeric: number of quantile bins actually formed.
+  /// Value bins (missing excluded). Categorical: min(cardinality,
+  /// kMaxCodedBins). Numeric: number of bins actually formed.
   uint16_t num_bins = 0;
-  /// Declared category dictionary size (categorical only; may exceed
-  /// kMaxBins, in which case the column is not histogram-safe).
+  /// Declared category dictionary size (categorical only). A column with
+  /// more than kMaxCodedBins categories cannot be coded; DecisionTree::Fit
+  /// rejects it.
   size_t cardinality = 0;
-  /// True when every distinct value got its own bin, so histogram split
-  /// candidates coincide with the exact-mode candidate set.
+  /// True when every distinct value got its own bin, so the split
+  /// candidates are every boundary between distinct values.
   bool lossless = false;
   /// Numeric only, size max(num_bins - 1, 0): the split `code <= b` means
   /// `value <= thresholds[b]`, with thresholds[b] the clamped midpoint of
   /// the adjacent distinct values straddling the bin boundary.
   std::vector<double> thresholds;
+  /// Lossless numeric only, size num_bins: the value bin b holds. A split
+  /// at a node takes its threshold between the values of the two adjacent
+  /// bins the node's rows occupy.
+  std::vector<double> values;
   /// Per-row bin code; BinnedColumns::kMissingBin for missing cells.
-  std::vector<uint8_t> codes;
+  std::vector<uint16_t> codes;
 };
 
 class BinnedColumns {
  public:
-  /// Bin code reserved for missing cells (and categorical codes beyond
-  /// kMaxBins, which Validate() rejects anyway).
-  static constexpr uint8_t kMissingBin = 255;
-  /// Maximum value bins per feature (codes 0..254; 255 is the missing bin).
+  /// Bin code reserved for missing cells.
+  static constexpr uint16_t kMissingBin = 0xFFFF;
+  /// Quantile cap on a numeric column's bins in Dataset::Binned().
   static constexpr size_t kMaxBins = 255;
+  /// Most value bins a column can have: codes 0..kMaxCodedBins - 1, so a
+  /// column's slots (its value bins plus the missing slot) stay countable
+  /// in a uint16_t. A numeric column with more distinct values is
+  /// quantile-binned even when binning is otherwise lossless.
+  static constexpr size_t kMaxCodedBins = 0xFFFE;
 
   /// Incremental construction, one column at a time. `stride` is the step
   /// between consecutive rows of the column (1 for a contiguous column,
@@ -79,6 +92,7 @@ class BinnedColumns {
 
   /// Bins a raw feature matrix (ToRawMatrix() layout: one column per
   /// feature, categorical cells holding category codes, NaN = missing).
+  /// `max_bins` caps numeric columns; kMaxCodedBins bins them losslessly.
   static BinnedColumns FromMatrix(const Matrix& x,
                                   const std::vector<bool>& categorical,
                                   const std::vector<size_t>& cardinalities,
@@ -88,16 +102,9 @@ class BinnedColumns {
   size_t num_features() const { return columns_.size(); }
   const BinnedColumn& column(size_t f) const { return columns_[f]; }
 
-  /// True when every categorical column's cardinality fits the bin range,
-  /// so histogram growth splits on the same categories as exact growth.
-  /// Columns with > kMaxBins categories would alias the missing bin; tree
-  /// training falls back to exact mode for such data.
-  bool histogram_safe() const { return histogram_safe_; }
-
  private:
   friend class Builder;
   size_t num_rows_ = 0;
-  bool histogram_safe_ = true;
   std::vector<BinnedColumn> columns_;
 };
 

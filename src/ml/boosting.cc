@@ -55,7 +55,7 @@ Status RunSamme(const Matrix& x, const TreeSchema& schema,
 
   // One binned view serves every round: only the sample weights change
   // between rounds, never the feature values.
-  if (!binned && tree_options.split_mode == TreeSplitMode::kHistogram) {
+  if (!binned) {
     binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
         x, schema.categorical, schema.cardinalities));
   }
@@ -211,7 +211,6 @@ Status C50Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   // Rules mode in C5.0 generalizes the tree into simpler overlapping rules;
   // we approximate its effect with shallower, more regular trees.
   options.max_depth = rules ? 8 : 30;
-  options.split_mode = TreeSplitMode::kHistogram;
 
   // The training set's cached binned view; winnowing that masks columns
   // needs a view of the masked matrix instead (RunSamme builds it).
@@ -296,7 +295,6 @@ Status DeepBoostClassifier::Fit(const Dataset& train,
   options.max_depth = depth;
   options.min_leaf = 1;
   options.min_split = 2;
-  options.split_mode = TreeSplitMode::kHistogram;
 
   BoostResult result;
   SMARTML_RETURN_NOT_OK(RunSamme(train.ToRawMatrix(),

@@ -15,10 +15,10 @@ namespace smartml {
 
 namespace {
 
-// Impurities over a raw K-vector of class weights. Histogram growth calls
-// them once per candidate boundary, so they take pointers into its scratch
-// instead of vectors; the operations and their order are fixed, which keeps
-// gains bit-identical between the exact and histogram builders.
+// Impurities over a raw K-vector of class weights. Growth calls them once
+// per candidate boundary, so they take pointers into its scratch instead of
+// vectors. The operations and their order are fixed: with integral weights
+// every gain is bit-identical to the one a sort-per-node search computes.
 inline double GiniImpurity(const double* counts, size_t num_k, double total) {
   if (total <= 0) return 0.0;
   double sum_sq = 0.0;
@@ -49,11 +49,6 @@ inline double Impurity(TreeCriterion criterion, const double* counts,
              : EntropyImpurity(counts, num_k, total);
 }
 
-inline double Impurity(TreeCriterion criterion,
-                       const std::vector<double>& counts, double total) {
-  return Impurity(criterion, counts.data(), counts.size(), total);
-}
-
 struct SplitCandidate {
   bool valid = false;
   int feature = -1;
@@ -61,16 +56,19 @@ struct SplitCandidate {
   bool multiway = false;
   double threshold = 0.0;
   int category = -1;
-  int bin = -1;  // Histogram mode: numeric rows go left iff code <= bin.
+  int bin = -1;  // Numeric rows go left iff code <= bin.
   double score = -std::numeric_limits<double>::infinity();
   double gain = 0.0;  // Weighted impurity decrease (always entropy/gini gain).
 };
 
-// Writes the set bits of a kBinMaskWords-word occupancy mask that are below
-// `limit` to `out`, ascending, and returns how many there are.
+// Words of the occupancy mask that hold bits for `slots` histogram slots.
+constexpr size_t MaskWords(size_t slots) { return (slots + 63) / 64; }
+
+// Writes the set bits of an occupancy mask that are below `limit` to `out`,
+// ascending, and returns how many there are.
 size_t OccupiedBins(const uint64_t* occupied, size_t limit, uint16_t* out) {
   size_t n = 0;
-  for (size_t i = 0; i < kBinMaskWords; ++i) {
+  for (size_t i = 0; i < MaskWords(limit); ++i) {
     for (uint64_t bits = occupied[i]; bits != 0; bits &= bits - 1) {
       const size_t b = i * 64 + static_cast<size_t>(std::countr_zero(bits));
       if (b >= limit) return n;
@@ -87,17 +85,18 @@ size_t OccupiedBins(const uint64_t* occupied, size_t limit, uint16_t* out) {
 // the occupied slots.
 void ClearOccupied(double* wsum, uint32_t* cnt, uint64_t* occupied,
                    size_t slots, size_t num_k) {
+  const size_t words = MaskWords(slots);
   size_t num_occupied = 0;
-  for (size_t i = 0; i < kBinMaskWords; ++i) {
+  for (size_t i = 0; i < words; ++i) {
     num_occupied += static_cast<size_t>(std::popcount(occupied[i]));
   }
   if (2 * num_occupied >= slots) {
     std::fill(wsum, wsum + slots * num_k, 0.0);
     std::fill(cnt, cnt + slots, 0u);
-    std::fill(occupied, occupied + kBinMaskWords, uint64_t{0});
+    std::fill(occupied, occupied + words, uint64_t{0});
     return;
   }
-  for (size_t i = 0; i < kBinMaskWords; ++i) {
+  for (size_t i = 0; i < words; ++i) {
     for (uint64_t bits = occupied[i]; bits != 0; bits &= bits - 1) {
       const size_t b = i * 64 + static_cast<size_t>(std::countr_zero(bits));
       for (size_t k = 0; k < num_k; ++k) wsum[b * num_k + k] = 0.0;
@@ -227,7 +226,16 @@ void ScanFeature(const TreeOptions& options, size_t num_k, size_t f,
         best->feature = static_cast<int>(f);
         best->categorical = false;
         best->multiway = false;
-        best->threshold = col.thresholds[b];
+        if (col.lossless) {
+          // Between this bin's value and the next one the node's rows hold:
+          // the midpoint of adjacent distinct values at the node.
+          size_t next = j + 1;
+          while (cnt[bins[next]] == 0) ++next;
+          best->threshold =
+              SplitMidpoint(col.values[b], col.values[bins[next]]);
+        } else {
+          best->threshold = col.thresholds[b];
+        }
         best->bin = static_cast<int>(b);
         best->score = score;
         best->gain = gain * parent_weight;
@@ -357,7 +365,7 @@ std::string TreeCondition::ToString(const Dataset& schema_source) const {
   return "?";
 }
 
-// Per-Fit workspace of histogram growth. A node's rows are the span
+// Per-Fit workspace of tree growth. A node's rows are the span
 // rows[begin, end); splitting a node partitions its span in place, stably
 // (through `stage`), into its children's spans. Histogram buffers are all
 // zero whenever no node holds them: whoever is done with one zeroes just the
@@ -368,7 +376,8 @@ struct DecisionTree::GrowState {
   // Feature f's slots of an all-feature histogram: class-weight sums at
   // wsum[off_w[f] .. off_w[f] + (num_bins + 1) * K), row counts at
   // cnt[off_n[f] .. off_n[f] + num_bins + 1) (slot num_bins is the missing
-  // bin) and its mask at occ[f * kBinMaskWords ..].
+  // bin) and its mask at occ[f * kBinMaskWords ..] (a pooled view's
+  // columns are all narrow).
   using Hist = BinHistogram;
 
   GrowState(const BinnedColumns& binned_view, const std::vector<int>& labels,
@@ -391,15 +400,21 @@ struct DecisionTree::GrowState {
       total_n += slots;
       max_slots = std::max(max_slots, slots);
     }
+    // A column wider than kBinMaskSlots slots (a lossless numeric column
+    // with many distinct values, a categorical one with many categories)
+    // makes every node histogram one feature at a time: an all-feature
+    // histogram would cost the sum of the columns' bins, and the pool holds
+    // one per tree level.
+    pooled = max_slots <= kBinMaskSlots;
     stage.resize(rows.size());
     features.resize(d);
     one.wsum.assign(max_slots * num_k, 0.0);
     one.cnt.assign(max_slots, 0);
-    one.occ.assign(kBinMaskWords, 0);
+    one.occ.assign(std::max(kBinMaskWords, MaskWords(max_slots)), 0);
     scan.left.resize(num_k);
     scan.right.resize(num_k);
     scan.total.resize(num_k);
-    scan.bins.resize(kBinMaskSlots);
+    scan.bins.resize(max_slots);
     if (hist_cache.total_w == total_w && hist_cache.total_n == total_n &&
         hist_cache.occ_words == d * kBinMaskWords) {
       hists = std::move(hist_cache.hists);
@@ -509,6 +524,9 @@ struct DecisionTree::GrowState {
   std::vector<size_t> off_n;
   size_t total_w = 0;
   size_t total_n = 0;
+  /// Whether full-feature nodes keep all-feature histograms from the pool
+  /// (false when a column is wider than kBinMaskSlots slots).
+  bool pooled = true;
 
   std::vector<size_t> rows;
   std::vector<size_t> stage;
@@ -518,7 +536,7 @@ struct DecisionTree::GrowState {
   std::vector<size_t> bounds;
   /// Per-category write cursors of a multiway partition.
   std::vector<size_t> cursor;
-  /// One feature's histogram at a time, for mtry nodes.
+  /// One feature's histogram at a time, for nodes that keep no pooled one.
   Hist one;
   std::vector<Hist> hists;
   std::vector<int> free_hists;
@@ -565,379 +583,43 @@ Status DecisionTree::Fit(const Matrix& x, const TreeSchema& schema,
   }
   Rng rng(options.seed);
 
-  bool histogram = options.split_mode == TreeSplitMode::kHistogram;
-  if (histogram) {
-    if (!binned) {
-      binned = std::make_shared<const BinnedColumns>(BinnedColumns::FromMatrix(
-          x, schema.categorical, schema.cardinalities));
-    } else if (binned->num_rows() != x.rows() ||
-               binned->num_features() != x.cols()) {
-      return Status::InvalidArgument(
-          "DecisionTree: binned view does not match the training matrix");
+  if (!binned) {
+    binned = std::make_shared<const BinnedColumns>(
+        BinnedColumns::FromMatrix(x, schema.categorical, schema.cardinalities,
+                                  BinnedColumns::kMaxCodedBins));
+  } else if (binned->num_rows() != x.rows() ||
+             binned->num_features() != x.cols()) {
+    return Status::InvalidArgument(
+        "DecisionTree: binned view does not match the training matrix");
+  }
+  for (size_t f = 0; f < binned->num_features(); ++f) {
+    const BinnedColumn& col = binned->column(f);
+    // Codes past the range would alias the missing bin.
+    if (col.categorical && col.cardinality > col.num_bins) {
+      return Status::InvalidArgument(StrFormat(
+          "DecisionTree: categorical feature %zu has %zu categories; a bin "
+          "code holds at most %zu",
+          f, col.cardinality, BinnedColumns::kMaxCodedBins));
     }
-    // Categorical columns wider than the bin range would alias the missing
-    // bin; exact mode handles them correctly, so fall back.
-    if (!binned->histogram_safe()) histogram = false;
   }
 
-  if (histogram) {
-    GrowState state(*binned, y, w, static_cast<size_t>(num_classes_),
-                    std::move(rows));
-    BuildNodeHist(&state, 0, state.rows.size(), 0, &rng, -1);
-  } else {
-    BuildNode(x, y, w, rows, 0, &rng);
-  }
+  GrowState state(*binned, y, w, static_cast<size_t>(num_classes_),
+                  std::move(rows));
+  BuildNodeHist(&state, 0, state.rows.size(), 0, &rng, -1);
   if (options_.confidence_factor > 0) Prune(0);
   return Status::OK();
 }
 
-int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
-                            const std::vector<double>& w,
-                            const std::vector<size_t>& rows, int depth,
-                            Rng* rng) {
-  const int index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  {
-    Node& node = nodes_.back();
-    node.depth = depth;
-    node.class_counts.assign(static_cast<size_t>(num_classes_), 0.0);
-    for (size_t r : rows) {
-      node.class_counts[static_cast<size_t>(y[r])] += w[r];
-      node.weight += w[r];
-    }
-    node.majority = ArgMaxCount(node.class_counts);
-  }
-
-  auto is_pure = [&]() {
-    const Node& node = nodes_[static_cast<size_t>(index)];
-    return node.class_counts[static_cast<size_t>(node.majority)] >=
-           node.weight - 1e-12;
-  };
-
-  if (depth >= options_.max_depth || rows.size() < options_.min_split ||
-      is_pure()) {
-    return index;
-  }
-
-  const double parent_weight = nodes_[static_cast<size_t>(index)].weight;
-  const double parent_impurity =
-      Impurity(options_.criterion == TreeCriterion::kGainRatio
-                   ? TreeCriterion::kEntropy
-                   : options_.criterion,
-               nodes_[static_cast<size_t>(index)].class_counts, parent_weight);
-  if (parent_impurity <= 1e-12) return index;
-
-  // Feature subset (mtry).
-  const size_t d = x.cols();
-  std::vector<size_t> features(d);
-  std::iota(features.begin(), features.end(), size_t{0});
-  if (options_.mtry > 0 && static_cast<size_t>(options_.mtry) < d) {
-    rng->Shuffle(&features);
-    features.resize(static_cast<size_t>(options_.mtry));
-  }
-
-  SplitCandidate best;
-  std::vector<double> left_counts(static_cast<size_t>(num_classes_));
-  std::vector<double> right_counts(static_cast<size_t>(num_classes_));
-
-  const TreeCriterion impurity_criterion =
-      options_.criterion == TreeCriterion::kGainRatio ? TreeCriterion::kEntropy
-                                                      : options_.criterion;
-
-  for (size_t f : features) {
-    // Collect non-missing (value, row) pairs for this feature.
-    std::vector<std::pair<double, size_t>> present;
-    present.reserve(rows.size());
-    double missing_weight = 0.0;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v)) {
-        missing_weight += w[r];
-      } else {
-        present.emplace_back(v, r);
-      }
-    }
-    if (present.size() < 2 * options_.min_leaf) continue;
-    double present_weight = 0.0;
-    for (const auto& [v, r] : present) present_weight += w[r];
-    if (present_weight <= 0) continue;
-    // C4.5-style penalty: scale gain by the fraction of known values.
-    const double known_fraction =
-        present_weight / (present_weight + missing_weight);
-
-    if (!schema_.categorical[f]) {
-      std::sort(present.begin(), present.end());
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      std::vector<double> total_counts(static_cast<size_t>(num_classes_), 0.0);
-      for (const auto& [v, r] : present) {
-        total_counts[static_cast<size_t>(y[r])] += w[r];
-      }
-      double left_weight = 0.0;
-      const double total_impurity =
-          Impurity(impurity_criterion, total_counts, present_weight);
-      for (size_t i = 0; i + 1 < present.size(); ++i) {
-        const size_t r = present[i].second;
-        left_counts[static_cast<size_t>(y[r])] += w[r];
-        left_weight += w[r];
-        // Only boundaries between distinct values are candidates. Exact
-        // equality is the right test: any two representable doubles that
-        // differ admit a threshold strictly between or equal to the lower
-        // one (see SplitMidpoint), so there is no "too close" case to
-        // guard against.
-        if (present[i].first == present[i + 1].first) continue;
-        const size_t left_n = i + 1;
-        const size_t right_n = present.size() - left_n;
-        if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-          continue;
-        }
-        const double right_weight = present_weight - left_weight;
-        for (int k = 0; k < num_classes_; ++k) {
-          right_counts[static_cast<size_t>(k)] =
-              total_counts[static_cast<size_t>(k)] -
-              left_counts[static_cast<size_t>(k)];
-        }
-        const double child_impurity =
-            (left_weight * Impurity(impurity_criterion, left_counts,
-                                    left_weight) +
-             right_weight * Impurity(impurity_criterion, right_counts,
-                                     right_weight)) /
-            present_weight;
-        double gain = (total_impurity - child_impurity) * known_fraction;
-        if (gain <= 0) continue;
-        double score = gain;
-        if (options_.criterion == TreeCriterion::kGainRatio) {
-          const double pl = left_weight / present_weight;
-          const double pr = right_weight / present_weight;
-          const double split_info =
-              -(pl * std::log2(pl) + pr * std::log2(pr));
-          if (split_info < 1e-9) continue;
-          score = gain / split_info;
-        }
-        if (score > best.score) {
-          best.valid = true;
-          best.feature = static_cast<int>(f);
-          best.categorical = false;
-          best.multiway = false;
-          best.threshold =
-              SplitMidpoint(present[i].first, present[i + 1].first);
-          best.score = score;
-          best.gain = gain * parent_weight;
-        }
-      }
-    } else {
-      const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-      // Per-category class counts.
-      std::vector<std::vector<double>> cat_counts(
-          k_cats, std::vector<double>(static_cast<size_t>(num_classes_), 0.0));
-      std::vector<double> cat_weight(k_cats, 0.0);
-      std::vector<size_t> cat_n(k_cats, 0);
-      std::vector<double> total_counts(static_cast<size_t>(num_classes_), 0.0);
-      for (const auto& [v, r] : present) {
-        const auto code = static_cast<size_t>(v);
-        if (code >= k_cats) continue;
-        cat_counts[code][static_cast<size_t>(y[r])] += w[r];
-        cat_weight[code] += w[r];
-        cat_n[code] += 1;
-        total_counts[static_cast<size_t>(y[r])] += w[r];
-      }
-      const double total_impurity =
-          Impurity(impurity_criterion, total_counts, present_weight);
-
-      if (options_.multiway_categorical && k_cats >= 2) {
-        // One child per category.
-        size_t populated = 0;
-        double child_impurity = 0.0;
-        double split_info = 0.0;
-        bool leaf_ok = true;
-        for (size_t c = 0; c < k_cats; ++c) {
-          if (cat_n[c] == 0) continue;
-          ++populated;
-          if (cat_n[c] < options_.min_leaf) leaf_ok = false;
-          child_impurity += cat_weight[c] * Impurity(impurity_criterion,
-                                                     cat_counts[c],
-                                                     cat_weight[c]);
-          const double p = cat_weight[c] / present_weight;
-          if (p > 0) split_info -= p * std::log2(p);
-        }
-        child_impurity /= present_weight;
-        if (populated >= 2 && leaf_ok) {
-          double gain = (total_impurity - child_impurity) * known_fraction;
-          if (gain > 0) {
-            double score = gain;
-            if (options_.criterion == TreeCriterion::kGainRatio) {
-              if (split_info >= 1e-9) {
-                score = gain / split_info;
-              } else {
-                score = -std::numeric_limits<double>::infinity();
-              }
-            }
-            if (score > best.score) {
-              best.valid = true;
-              best.feature = static_cast<int>(f);
-              best.categorical = true;
-              best.multiway = true;
-              best.score = score;
-              best.gain = gain * parent_weight;
-            }
-          }
-        }
-      } else {
-        // Binary one-vs-rest splits.
-        for (size_t c = 0; c < k_cats; ++c) {
-          const size_t left_n = cat_n[c];
-          const size_t right_n = present.size() - left_n;
-          if (left_n < options_.min_leaf || right_n < options_.min_leaf) {
-            continue;
-          }
-          const double left_weight = cat_weight[c];
-          const double right_weight = present_weight - left_weight;
-          for (int k = 0; k < num_classes_; ++k) {
-            left_counts[static_cast<size_t>(k)] =
-                cat_counts[c][static_cast<size_t>(k)];
-            right_counts[static_cast<size_t>(k)] =
-                total_counts[static_cast<size_t>(k)] -
-                left_counts[static_cast<size_t>(k)];
-          }
-          const double child_impurity =
-              (left_weight * Impurity(impurity_criterion, left_counts,
-                                      left_weight) +
-               right_weight * Impurity(impurity_criterion, right_counts,
-                                       right_weight)) /
-              present_weight;
-          double gain = (total_impurity - child_impurity) * known_fraction;
-          if (gain <= 0) continue;
-          double score = gain;
-          if (options_.criterion == TreeCriterion::kGainRatio) {
-            const double pl = left_weight / present_weight;
-            const double pr = right_weight / present_weight;
-            const double split_info =
-                -(pl * std::log2(pl) + pr * std::log2(pr));
-            if (split_info < 1e-9) continue;
-            score = gain / split_info;
-          }
-          if (score > best.score) {
-            best.valid = true;
-            best.feature = static_cast<int>(f);
-            best.categorical = true;
-            best.multiway = false;
-            best.category = static_cast<int>(c);
-            best.score = score;
-            best.gain = gain * parent_weight;
-          }
-        }
-      }
-    }
-  }
-
-  if (!best.valid) return index;
-  // rpart-style complexity gate: the split must remove at least
-  // min_impurity_decrease of the node's own weighted impurity.
-  if (best.gain <
-      options_.min_impurity_decrease * parent_weight * parent_impurity +
-          1e-15) {
-    return index;
-  }
-
-  // Partition rows.
-  const auto f = static_cast<size_t>(best.feature);
-  std::vector<std::vector<size_t>> parts;
-  if (best.multiway) {
-    const size_t k_cats = std::max<size_t>(schema_.cardinalities[f], 1);
-    parts.assign(k_cats, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v) || static_cast<size_t>(v) >= k_cats) {
-        missing.push_back(r);
-      } else {
-        parts[static_cast<size_t>(v)].push_back(r);
-      }
-    }
-    // Missing rows join the most populated branch.
-    size_t heaviest = 0;
-    for (size_t c = 1; c < parts.size(); ++c) {
-      if (parts[c].size() > parts[heaviest].size()) heaviest = c;
-    }
-    for (size_t r : missing) parts[heaviest].push_back(r);
-  } else {
-    parts.assign(2, {});
-    std::vector<size_t> missing;
-    for (size_t r : rows) {
-      const double v = x(r, f);
-      if (IsMissing(v)) {
-        missing.push_back(r);
-        continue;
-      }
-      const bool left = best.categorical
-                            ? static_cast<int>(v) == best.category
-                            : v <= best.threshold;
-      parts[left ? 0 : 1].push_back(r);
-    }
-    const size_t heavier = parts[0].size() >= parts[1].size() ? 0 : 1;
-    for (size_t r : missing) parts[heavier].push_back(r);
-  }
-
-  // Degenerate partitions can occur after missing-value routing.
-  size_t populated = 0;
-  for (const auto& p : parts) {
-    if (!p.empty()) ++populated;
-  }
-  if (populated < 2) return index;
-
-  // Fill in the split; children are built recursively afterwards so the
-  // nodes_ vector may reallocate (take care not to hold references).
-  {
-    Node& node = nodes_[static_cast<size_t>(index)];
-    node.leaf = false;
-    node.feature = best.feature;
-    node.categorical_split = best.categorical;
-    node.threshold = best.threshold;
-    node.category = best.category;
-    node.split_gain = best.gain;
-  }
-  std::vector<int> children;
-  children.reserve(parts.size());
-  int majority_child = 0;
-  double heaviest_weight = -1.0;
-  for (size_t c = 0; c < parts.size(); ++c) {
-    int child;
-    if (parts[c].empty()) {
-      // Empty multiway branch: a leaf that inherits the parent distribution.
-      child = static_cast<int>(nodes_.size());
-      nodes_.emplace_back();
-      Node& leaf_node = nodes_.back();
-      leaf_node.depth = depth + 1;
-      leaf_node.class_counts = nodes_[static_cast<size_t>(index)].class_counts;
-      leaf_node.weight = 0.0;
-      leaf_node.majority = nodes_[static_cast<size_t>(index)].majority;
-    } else {
-      child = BuildNode(x, y, w, parts[c], depth + 1, rng);
-    }
-    children.push_back(child);
-    const double cw = nodes_[static_cast<size_t>(child)].weight;
-    if (cw > heaviest_weight) {
-      heaviest_weight = cw;
-      majority_child = static_cast<int>(c);
-    }
-  }
-  Node& node = nodes_[static_cast<size_t>(index)];
-  node.children = std::move(children);
-  node.majority_child = majority_child;
-  return index;
-}
-
-// Histogram-mode growth. Mirrors BuildNode's structure (stopping rules,
-// gates, missing-value routing) but searches bin boundaries of the shared
-// binned view instead of re-sorting rows: each candidate's class counts come
-// from a prefix scan over per-bin histograms. Per feature a node costs
-// O(rows + occupied bins * classes): accumulation records which bins the
-// node's rows touch, the scan visits only those, and only those are zeroed
-// afterwards, so the deep, small nodes of a fully grown forest do not pay
-// for the ~255 bins a column has. With lossless binning and integral
-// weights the candidate set and row partition are identical to exact mode;
-// thresholds come from the global bin edges, so held-out rows falling
-// between two training values may route differently (both routings are
-// consistent with the training data).
+// Grows one node by searching the bin boundaries of the binned view: each
+// candidate's class counts come from a prefix scan over per-bin histograms.
+// Per feature a node costs O(rows + occupied bins * classes): accumulation
+// records which bins the node's rows touch, the scan visits only those, and
+// only those are zeroed afterwards, so the deep, small nodes of a fully
+// grown forest do not pay for the bins a column has. On a lossless column
+// the candidates are every boundary between distinct values at the node and
+// the threshold is their midpoint, so with integral weights the tree is the
+// one a sort-per-node search grows, held-out routing included. A quantile
+// column splits at its global bin edges.
 int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
                                 int depth, Rng* rng, int hist) {
   const size_t num_k = s->num_k;
@@ -972,7 +654,8 @@ int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
       Impurity(options_.criterion == TreeCriterion::kGainRatio
                    ? TreeCriterion::kEntropy
                    : options_.criterion,
-               nodes_[static_cast<size_t>(index)].class_counts, parent_weight);
+               nodes_[static_cast<size_t>(index)].class_counts.data(), num_k,
+               parent_weight);
   if (parent_impurity <= 1e-12) {
     s->Release(hist);
     return index;
@@ -989,8 +672,9 @@ int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
   // Full-feature nodes keep one histogram spanning all features so a binary
   // split can hand the larger child `parent - smaller sibling` instead of
   // rescanning its rows; mtry nodes sample different features at every node,
-  // so they accumulate one sampled column at a time and retain nothing.
-  const bool full_features = num_tried == d;
+  // and a view with a wide column keeps no all-feature histograms, so those
+  // accumulate one column at a time and retain nothing.
+  const bool full_features = num_tried == d && s->pooled;
   if (full_features && hist < 0) {
     hist = s->Acquire();
     s->Accumulate(hist, begin, end);
@@ -1028,13 +712,12 @@ int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
   }
 
   // Partition the span by bin code (codes and raw values induce the same
-  // partition: every value in bins <= b is <= thresholds[b] by
-  // construction). Codes at or past num_bins are the missing bin. Each child
+  // partition on the node's rows: every value in bins <= b is <= the
+  // threshold). Codes at or past num_bins are the missing bin. Each child
   // keeps its rows in span order and missing rows follow the most populated
-  // child's, which keeps per-node sums in exact mode's order. The children's
-  // k + 1 span bounds go on the bounds stack.
+  // child's. The children's k + 1 span bounds go on the bounds stack.
   const auto f = static_cast<size_t>(best.feature);
-  const uint8_t* codes = s->binned.column(f).codes.data();
+  const uint16_t* codes = s->binned.column(f).codes.data();
   const size_t nb = s->binned.column(f).num_bins;
   size_t* rows = s->rows.data();
   const size_t base = s->bounds.size();
@@ -1105,7 +788,7 @@ int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
       num_right += right;
       num_missing += missing;
     }
-    // Missing rows follow the more populated side, as in exact mode.
+    // Missing rows follow the more populated side.
     const bool missing_left = num_left >= num_right;
     size_t at = begin + num_left;
     if (missing_left) {
@@ -1145,9 +828,10 @@ int DecisionTree::BuildNodeHist(GrowState* s, size_t begin, size_t end,
 
   // Parent-minus-sibling: accumulate only the smaller child, derive the
   // larger one by subtracting in place. Multiway children (and mtry nodes,
-  // which have no full parent hist) recompute from their rows.
+  // which have no full parent hist) recompute from their rows; children at
+  // the depth limit are leaves and need none.
   int child_hist[2] = {-1, -1};
-  if (full_features && !best.multiway) {
+  if (full_features && !best.multiway && depth + 1 < options_.max_depth) {
     const size_t mid = s->bounds[base + 1];
     const size_t small = mid - begin <= end - mid ? 0 : 1;
     const int h = s->Acquire();

@@ -4,7 +4,12 @@
 // J48/C5.0/PART use the gain-ratio criterion with C4.5 error-based pruning
 // and multiway categorical splits; rpart/Bagging/RandomForest use Gini with
 // binary splits; LMT grows small trees with logistic leaves; DeepBoost
-// reweights samples between depth-limited trees.
+// reweights samples between depth-limited trees. Every tree grows on a
+// binned view of its training matrix, and the view decides the split
+// granularity: the ensembles and rule learners pass Dataset::Binned() (at
+// most 255 quantile bins per numeric column), while a Fit given no view
+// bins the matrix losslessly, one bin per distinct value, which makes its
+// split search exact.
 #ifndef SMARTML_ML_DECISION_TREE_H_
 #define SMARTML_ML_DECISION_TREE_H_
 
@@ -24,17 +29,6 @@ namespace smartml {
 /// Split-quality criterion.
 enum class TreeCriterion { kGini, kEntropy, kGainRatio };
 
-/// How split candidates are searched.
-///
-/// kExact re-sorts (value, row) pairs per feature per node and walks every
-/// boundary between distinct values — the correctness oracle. kHistogram
-/// accumulates per-bin class histograms over a BinnedColumns view and walks
-/// bin boundaries instead; when the binning is lossless (every distinct
-/// value gets its own bin) and weights are integral, it partitions training
-/// rows identically to exact mode, and it falls back to exact mode when the
-/// view is not histogram-safe (categorical cardinality > 255).
-enum class TreeSplitMode { kExact, kHistogram };
-
 struct TreeOptions {
   TreeCriterion criterion = TreeCriterion::kGini;
   int max_depth = 30;
@@ -50,10 +44,6 @@ struct TreeOptions {
   /// Multiway splits on categorical features (C4.5 style); false gives
   /// binary one-category-vs-rest splits (CART style).
   bool multiway_categorical = false;
-  /// Split search strategy. Defaults to exact so meta-feature landmarkers
-  /// and KB-facing learners keep bit-stable behavior; the production tree
-  /// ensembles opt into kHistogram.
-  TreeSplitMode split_mode = TreeSplitMode::kExact;
   uint64_t seed = 1;
 };
 
@@ -79,10 +69,12 @@ struct TreeCondition {
 class DecisionTree {
  public:
   /// Trains the tree. `weights` may be empty (all ones). `x` is the
-  /// ToRawMatrix() encoding of the training data. In histogram mode,
-  /// `binned` may supply a pre-built binned view of the SAME rows (e.g.
-  /// Dataset::Binned(), shared across a whole forest); when null, the view
-  /// is built from `x` on the fly. Exact mode ignores `binned`.
+  /// ToRawMatrix() encoding of the training data. `binned` may supply a
+  /// pre-built binned view of the SAME rows (e.g. Dataset::Binned(), shared
+  /// across a whole forest); when null, `x` is binned losslessly on the
+  /// fly (up to BinnedColumns::kMaxCodedBins bins per column). Returns
+  /// InvalidArgument for a view of another shape and for a categorical
+  /// column with more categories than a bin code holds.
   Status Fit(const Matrix& x, const TreeSchema& schema,
              const std::vector<int>& y, int num_classes,
              const std::vector<double>& weights, const TreeOptions& options,
@@ -143,14 +135,11 @@ class DecisionTree {
     double split_gain = 0.0;     // Weighted impurity decrease of the split.
   };
 
-  // Per-Fit histogram-growth workspace (defined in the .cc): the node row
-  // spans, pooled bin histograms and scan scratch every node reuses.
+  // Per-Fit growth workspace (defined in the .cc): the node row spans,
+  // pooled bin histograms and scan scratch every node reuses.
   struct GrowState;
 
   static int ArgMaxCount(const std::vector<double>& counts);
-  int BuildNode(const Matrix& x, const std::vector<int>& y,
-                const std::vector<double>& w,
-                const std::vector<size_t>& rows, int depth, Rng* rng);
   /// Grows the node over rows[begin, end) of the workspace. `hist` is the
   /// pooled all-feature histogram of exactly those rows handed down by the
   /// parent, or -1; the node returns it to the pool.

@@ -100,7 +100,6 @@ Status RandomForestClassifier::Fit(const Dataset& train,
   options.min_split = std::max<size_t>(2, 2 * nodesize);
   options.max_depth = 40;
   options.mtry = mtry;
-  options.split_mode = TreeSplitMode::kHistogram;
 
   // One binned view of the training table, built once and shared read-only
   // by every tree worker (bootstraps are per-row weights, so all trees see
@@ -189,7 +188,6 @@ Status BaggingClassifier::Fit(const Dataset& train, const ParamConfig& config) {
       std::clamp<int64_t>(config.GetInt("maxdepth", 30), 1, 60));
   options.min_impurity_decrease =
       std::clamp(config.GetDouble("cp", 0.01), 0.0, 1.0);
-  options.split_mode = TreeSplitMode::kHistogram;
 
   const std::shared_ptr<const BinnedColumns> binned = train.Binned();
 

@@ -51,7 +51,6 @@ Status J48Classifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.confidence_factor =
       unpruned ? 0.0 : std::clamp(config.GetDouble("C", 0.25), 0.001, 0.5);
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
@@ -91,7 +90,6 @@ Status RpartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
       static_cast<int>(std::clamp<int64_t>(config.GetInt("maxdepth", 30), 1,
                                            60));
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   num_features_ = train.NumFeatures();
   return tree_.Fit(train.ToRawMatrix(), TreeSchema::FromDataset(train),
@@ -155,7 +153,6 @@ Status PartClassifier::Fit(const Dataset& train, const ParamConfig& config) {
   options.confidence_factor =
       pruned ? std::clamp(config.GetDouble("C", 0.25), 0.001, 0.5) : 0.0;
   options.seed = static_cast<uint64_t>(config.GetInt("seed", 3));
-  options.split_mode = TreeSplitMode::kHistogram;
 
   const TreeSchema schema = TreeSchema::FromDataset(train);
   std::vector<size_t> remaining(train.NumRows());

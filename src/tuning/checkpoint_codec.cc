@@ -5,19 +5,10 @@
 
 namespace smartml {
 
-std::string CkptDouble(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
+namespace {
 
-bool CkptParseDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
+// Percent-encodes `s` into a single whitespace-free token ("" becomes the
+// marker "%-", which cannot be produced by the escaper otherwise).
 std::string CkptToken(const std::string& s) {
   if (s.empty()) return "%-";
   std::string out;
@@ -34,6 +25,7 @@ std::string CkptToken(const std::string& s) {
   return out;
 }
 
+// Inverse of CkptToken. False on malformed escapes.
 bool CkptParseToken(const std::string& token, std::string* out) {
   if (token == "%-") {
     out->clear();
@@ -59,6 +51,21 @@ bool CkptParseToken(const std::string& token, std::string* out) {
     i += 2;
   }
   return true;
+}
+
+}  // namespace
+
+std::string CkptDouble(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+bool CkptParseDouble(const std::string& token, double* out) {
+  if (token.empty()) return false;
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
 }
 
 void CkptAppendConfig(const ParamConfig& config, std::ostringstream* out) {

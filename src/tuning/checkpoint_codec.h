@@ -29,14 +29,9 @@ std::string CkptDouble(double v);
 /// token is not a complete number.
 bool CkptParseDouble(const std::string& token, double* out);
 
-/// Percent-encodes `s` into a single whitespace-free token ("" becomes the
-/// marker "%-", which cannot be produced by the escaper otherwise).
-std::string CkptToken(const std::string& s);
-
-/// Inverse of CkptToken. False on malformed escapes.
-bool CkptParseToken(const std::string& token, std::string* out);
-
 /// Appends "cfg <n> {d|i|c} <name> <value> ..." for every value in `config`.
+/// Names and choice values are percent-encoded into whitespace-free tokens,
+/// so any string round-trips.
 void CkptAppendConfig(const ParamConfig& config, std::ostringstream* out);
 
 /// Reads a CkptAppendConfig stanza from `in`. False on any mismatch.

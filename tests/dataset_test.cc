@@ -182,24 +182,26 @@ TEST(DatasetTest, BinnedLosslessSmallColumn) {
   const auto binned = d.Binned();
   ASSERT_EQ(binned->num_features(), 2u);
   EXPECT_EQ(binned->num_rows(), 5u);
-  EXPECT_TRUE(binned->histogram_safe());
 
   const BinnedColumn& x = binned->column(0);
   EXPECT_FALSE(x.categorical);
   EXPECT_TRUE(x.lossless);
   ASSERT_EQ(x.num_bins, 3u);
   // Codes follow sorted value order; missing gets the sentinel.
-  const std::vector<uint8_t> want = {2, 0, 1, 1, BinnedColumns::kMissingBin};
+  const std::vector<uint16_t> want = {2, 0, 1, 1, BinnedColumns::kMissingBin};
   EXPECT_EQ(x.codes, want);
   ASSERT_EQ(x.thresholds.size(), 2u);
   EXPECT_DOUBLE_EQ(x.thresholds[0], 1.5);
   EXPECT_DOUBLE_EQ(x.thresholds[1], 2.5);
+  const std::vector<double> want_values = {1.0, 2.0, 3.0};
+  EXPECT_EQ(x.values, want_values);
 
   const BinnedColumn& c = binned->column(1);
   EXPECT_TRUE(c.categorical);
   EXPECT_EQ(c.num_bins, 3u);
   EXPECT_EQ(c.cardinality, 3u);
-  const std::vector<uint8_t> want_c = {0, 1, 0, 2, BinnedColumns::kMissingBin};
+  const std::vector<uint16_t> want_c = {0, 1, 0, 2,
+                                        BinnedColumns::kMissingBin};
   EXPECT_EQ(c.codes, want_c);
 }
 

@@ -424,13 +424,19 @@ TEST_F(PersistTest, CkptTokenRoundTripsAwkwardStrings) {
       "new\nline", std::string(1, '\0') + "nul", "trailing ",
   };
   for (const std::string& original : cases) {
-    const std::string token = CkptToken(original);
-    // Tokens must be whitespace-free so `istream >>` reads them whole.
-    EXPECT_EQ(token.find(' '), std::string::npos);
-    EXPECT_EQ(token.find('\n'), std::string::npos);
-    std::string decoded;
-    ASSERT_TRUE(CkptParseToken(token, &decoded));
-    EXPECT_EQ(decoded, original);
+    // The string as a choice name and as its value: both travel as
+    // percent-encoded tokens that `istream >>` must read whole.
+    ParamConfig config;
+    config.SetChoice(original, original);
+    config.SetInt("after", 7);
+    std::ostringstream out;
+    CkptAppendConfig(config, &out);
+    std::istringstream in(out.str());
+    ParamConfig decoded;
+    ASSERT_TRUE(CkptReadConfig(&in, &decoded)) << out.str();
+    EXPECT_TRUE(decoded == config) << out.str();
+    EXPECT_EQ(decoded.GetChoice(original, "?"), original);
+    EXPECT_EQ(decoded.GetInt("after", 0), 7);
   }
 }
 
@@ -453,7 +459,8 @@ TEST_F(PersistTest, CkptConfigRoundTripsTypedValues) {
 TEST_F(PersistTest, CkptConfigRejectsGarbage) {
   for (const std::string& text :
        {std::string("nope"), std::string("cfg 2\nd x 0x1p0\n"),
-        std::string("cfg 99999999999\n"), std::string("cfg 1\nz q 1\n")}) {
+        std::string("cfg 99999999999\n"), std::string("cfg 1\nz q 1\n"),
+        std::string("cfg 1\nc x%4 a\n")}) {
     std::istringstream in(text);
     ParamConfig decoded;
     EXPECT_FALSE(CkptReadConfig(&in, &decoded)) << text;

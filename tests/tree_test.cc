@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
@@ -315,13 +316,15 @@ TEST(TreeTest, AdjacentDoubleValuesStillSplit) {
   x(2, 0) = hi;
   x(3, 0) = hi;
   const std::vector<int> y = {0, 0, 1, 1};
-  for (TreeSplitMode mode :
-       {TreeSplitMode::kExact, TreeSplitMode::kHistogram}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    TreeOptions options;
-    options.split_mode = mode;
+  // No view (lossless binning inside Fit) and a prebuilt Dataset-style view.
+  const auto prebuilt = std::make_shared<const BinnedColumns>(
+      BinnedColumns::FromMatrix(x, {false}, {0}));
+  for (const auto& view :
+       {std::shared_ptr<const BinnedColumns>(), prebuilt}) {
+    SCOPED_TRACE(view ? "prebuilt view" : "no view");
     DecisionTree tree;
-    ASSERT_TRUE(tree.Fit(x, schema_all_numeric(), y, 2, {}, options).ok());
+    ASSERT_TRUE(
+        tree.Fit(x, schema_all_numeric(), y, 2, {}, TreeOptions(), view).ok());
     EXPECT_EQ(tree.NumLeaves(), 2u);
     for (size_t r = 0; r < 4; ++r) {
       EXPECT_EQ(tree.PredictRow(x.RowPtr(r)), y[r]) << "row " << r;
